@@ -22,9 +22,11 @@ import (
 // keeping a handle for each pending request.
 type Client struct {
 	conn net.Conn
-	// br buffers the read side; only the read loop touches it (the
-	// handshake reply is read before the loop starts).
-	br   *bufio.Reader
+	// dec decodes the read side through a buffered reader whose every
+	// refill flushes the outgoing buffer first (flushReader). Only the
+	// read loop touches it (the handshake reply is read before the
+	// loop starts).
+	dec  decoder
 	rec  *metrics.Recorder
 	opts ClientOptions
 	// traceBase seeds the per-request trace ids when Tracing is on.
@@ -42,8 +44,63 @@ type Client struct {
 	closed       bool
 	readerExited bool
 
+	// wmu guards the write side: out holds encoded request frames not
+	// yet on the socket, and corked says the read loop is between two
+	// socket reads — dispatching callbacks — so Go only appends and the
+	// read loop flushes the lot before it next blocks. With the cork
+	// down out is empty and Go flushes its own frame at once. wmu is
+	// held across the socket write, which keeps frames whole and in
+	// order; it is never held together with mu.
+	wmu    sync.Mutex
+	out    []byte //lint:guardedby wmu
+	corked bool   //lint:guardedby wmu
+
 	readerDone chan struct{}
 	readerErr  error
+}
+
+// flushReader is the connection's read side as the read loop's
+// bufio.Reader sees it. A socket read is the only place the read loop
+// can block, so that is where the requests its callbacks issued leave:
+// every Read flushes the outgoing buffer and lowers the cork first,
+// and raises the cork again once it has bytes to dispatch.
+type flushReader struct{ c *Client }
+
+func (r flushReader) Read(p []byte) (int, error) {
+	c := r.c
+	c.wmu.Lock()
+	c.corked = false
+	err := c.flushLocked()
+	c.wmu.Unlock()
+	if err != nil {
+		return 0, err
+	}
+	n, err := c.conn.Read(p)
+	c.wmu.Lock()
+	c.corked = true
+	c.wmu.Unlock()
+	return n, err
+}
+
+// flushLocked writes the outgoing buffer to the socket with one
+// write(2). A failed flush leaves the stream cut mid-frame, so it
+// closes the connection: the read loop then fails every pending
+// handle.
+//
+//lint:holds wmu
+func (c *Client) flushLocked() error {
+	if len(c.out) == 0 {
+		return nil
+	}
+	if c.opts.WriteTimeout > 0 {
+		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+	}
+	_, err := c.conn.Write(c.out)
+	c.out = c.out[:0]
+	if err != nil {
+		c.conn.Close()
+	}
+	return err
 }
 
 type pendingHandle struct {
@@ -68,8 +125,8 @@ type ClientOptions struct {
 	// caller. The response, if it ever arrives, is dropped. Zero waits
 	// forever.
 	RequestTimeout time.Duration
-	// WriteTimeout bounds each request-frame write to the socket. Zero
-	// means no deadline.
+	// WriteTimeout bounds each flush of request frames to the socket.
+	// Zero means no deadline.
 	WriteTimeout time.Duration
 	// Tracing stamps every request with a client-generated trace id
 	// (FlagTraced + an 8-byte wire extension), so server-side flight
@@ -110,17 +167,29 @@ func DialOpts(addr string, opts ClientOptions) (*Client, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netserve: %w", err)
 	}
+	c, err := newClient(conn, opts)
+	if err != nil {
+		conn.Close()
+		return nil, err
+	}
+	return c, nil
+}
+
+// newClient runs the client side of the protocol over an established
+// connection: the handshake, if asked for, then the read loop. On
+// error the caller still owns conn.
+func newClient(conn net.Conn, opts ClientOptions) (*Client, error) {
 	if opts.Clock == nil {
 		opts.Clock = blockdev.NewRealClock()
 	}
 	c := &Client{
 		conn:       conn,
-		br:         bufio.NewReaderSize(conn, 64<<10),
 		rec:        metrics.NewRecorder(),
 		opts:       opts,
 		pending:    make(map[uint64]pendingHandle),
 		readerDone: make(chan struct{}),
 	}
+	c.dec.r = bufio.NewReaderSize(flushReader{c}, 64<<10)
 	if opts.Tracing {
 		c.traceBase = splitmix64(uint64(time.Now().UnixNano()))
 	}
@@ -132,12 +201,10 @@ func DialOpts(addr string, opts ClientOptions) (*Client, error) {
 			conn.SetWriteDeadline(time.Now().Add(opts.WriteTimeout))
 		}
 		if err := WriteHello(conn, Hello{Version: ProtoV2, Feats: FeatPayload}); err != nil {
-			conn.Close()
 			return nil, fmt.Errorf("netserve: handshake: %w", err)
 		}
-		hello, err := ReadHello(c.br)
+		hello, err := ReadHello(c.dec.r)
 		if err != nil {
-			conn.Close()
 			return nil, fmt.Errorf("netserve: handshake: %w", err)
 		}
 		if hello.Version >= ProtoV2 && hello.Feats&FeatPayload != 0 {
@@ -217,10 +284,13 @@ func (c *Client) Close() error {
 }
 
 // Go issues one read on behalf of a stream. done (optional) receives
-// the response and its measured latency. In payload mode the response
-// may hold pooled receive memory: done owns it and must call
-// resp.Release after its last use of Data (a nil done releases
-// automatically).
+// the response and its measured latency. The frame is on the socket
+// when Go returns, unless Go was called from a done callback (or while
+// one is running): those frames leave together, in one write, before
+// the read loop next waits for the server. Go returns an error only if
+// done will not run. In payload mode the response may hold pooled
+// receive memory: done owns it and must call resp.Release after its
+// last use of Data (a nil done releases automatically).
 func (c *Client) Go(stream int, disk uint16, off, length int64, flags uint16,
 	done func(Response, time.Duration)) error {
 	c.mu.Lock()
@@ -265,10 +335,13 @@ func (c *Client) Go(stream int, disk uint16, off, length int64, flags uint16,
 	c.pending[id] = h
 	c.mu.Unlock()
 
-	if c.opts.WriteTimeout > 0 {
-		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+	c.wmu.Lock()
+	c.out = appendRequest(c.out, Request{ID: id, Disk: disk, Flags: flags, Offset: off, Length: length, Trace: tid})
+	var err error
+	if !c.corked {
+		err = c.flushLocked()
 	}
-	err := WriteRequest(c.conn, Request{ID: id, Disk: disk, Flags: flags, Offset: off, Length: length, Trace: tid})
+	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
 		h, ok := c.pending[id]
@@ -326,13 +399,7 @@ func (c *Client) Err() error {
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
 	for {
-		var resp Response
-		var err error
-		if c.payload {
-			resp, err = readResponseV2(c.br, c.pool)
-		} else {
-			resp, err = ReadResponse(c.br)
-		}
+		resp, err := c.dec.readResponse(c.payload, c.pool)
 		if err != nil {
 			c.failPending(err)
 			return

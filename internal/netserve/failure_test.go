@@ -302,7 +302,11 @@ func TestEndToEndThroughFaultInjector(t *testing.T) {
 	node, sdev := faultTestNode(t, []blockdev.FaultRule{
 		{Mode: blockdev.FaultError, MinLen: 1 << 20, Every: 3},
 	}, func(cfg *core.Config) {
-		cfg.FetchRetries = 3
+		// The rule counts fetches across all four streams, so one
+		// stream's retries can each land on a third read when the
+		// others' fetches interleave just so; three retries lost that
+		// draw in ~3 % of runs on a loaded machine.
+		cfg.FetchRetries = 8
 		cfg.RetryBackoff = time.Millisecond
 	})
 	srv, err := NewServer(node, "127.0.0.1:0")

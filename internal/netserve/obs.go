@@ -44,9 +44,9 @@ func NewObs(reg *obs.Registry) *Obs {
 	return &Obs{
 		conns:     reg.Counter("seqstream_netserve_connections_total", "client connections accepted"),
 		requests:  reg.Counter("seqstream_netserve_requests_total", "wire requests decoded"),
-		errors:    reg.Counter("seqstream_netserve_errors_total", "requests rejected before reaching the node"),
+		errors:    reg.Counter("seqstream_netserve_errors_total", "requests rejected before reaching the node, and connections ended by a protocol error"),
 		readBytes: reg.Counter("seqstream_netserve_read_bytes_total", "payload bytes served to clients"),
-		dropped:   reg.Counter("seqstream_netserve_dropped_responses_total", "responses discarded because the connection writer had exited"),
+		dropped:   reg.Counter("seqstream_netserve_dropped_responses_total", "responses discarded because their connection had died"),
 
 		openConns: reg.Gauge("seqstream_netserve_open_connections", "currently connected clients"),
 

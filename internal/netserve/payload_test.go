@@ -14,12 +14,23 @@ import (
 // device plus a netserve server with the given options.
 func payloadNode(t *testing.T, disks int, memory, readAhead int64, opts ServerOptions) (*core.Server, *Server) {
 	t.Helper()
+	return payloadNodeTuned(t, disks, memory, readAhead, opts, nil)
+}
+
+// payloadNodeTuned is payloadNode with a hook to adjust the core
+// configuration.
+func payloadNodeTuned(t *testing.T, disks int, memory, readAhead int64, opts ServerOptions,
+	tune func(*core.Config)) (*core.Server, *Server) {
+	t.Helper()
 	dev, err := blockdev.NewMemDevice(disks, 1<<30, 0, true)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig(memory, readAhead)
 	cfg.NearSeqWindow = readAhead
+	if tune != nil {
+		tune(&cfg)
+	}
 	node, err := core.NewServer(dev, blockdev.NewRealClock(), cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -199,17 +210,7 @@ func TestSlowReaderBackpressure(t *testing.T) {
 		}
 	}
 
-	// Wait for the pipeline to wedge: the served-byte counter stops
-	// advancing once the writer is stuck and the channel is full.
-	last, stable := int64(-1), 0
-	for stable < 20 {
-		time.Sleep(10 * time.Millisecond)
-		if n := srv.Stats().BytesRead; n == last {
-			stable++
-		} else {
-			last, stable = n, 0
-		}
-	}
+	waitWedged(srv)
 
 	// The budget: M of staging, plus the responses the channel (128)
 	// and one in-flight write can pin. Each response retains its whole
@@ -228,6 +229,21 @@ func TestSlowReaderBackpressure(t *testing.T) {
 	// buffers the scheduler itself still owns.
 	conn.Close()
 	waitWireReleased(t, node)
+}
+
+// waitWedged returns once the pipeline behind a peer that reads
+// nothing has wedged: the served-byte counter stops advancing when the
+// writer is stuck in a write and the response channel is full.
+func waitWedged(srv *Server) {
+	last, stable := int64(-1), 0
+	for stable < 20 {
+		time.Sleep(10 * time.Millisecond)
+		if n := srv.Stats().BytesRead; n == last {
+			stable++
+		} else {
+			last, stable = n, 0
+		}
+	}
 }
 
 // waitWireReleased polls until every wire-held buffer reference is

@@ -183,206 +183,259 @@ var (
 	ErrTooLarge = errors.New("netserve: frame too large")
 )
 
-// WriteRequest encodes a request frame: the fixed header, plus the
+// appendRequest appends req's frame to dst: the fixed header, plus the
 // 8-byte trace id when FlagTraced is set (the flag is derived from the
-// Trace field, so callers just set Trace).
-func WriteRequest(w io.Writer, req Request) error {
+// Trace field, so callers just set Trace). It is the one request
+// encoder; the client appends straight into its outgoing buffer.
+func appendRequest(dst []byte, req Request) []byte {
 	if req.Trace != 0 {
 		req.Flags |= FlagTraced
 	}
-	var buf [reqHeaderSize + 8]byte
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
-	binary.LittleEndian.PutUint64(buf[4:], req.ID)
-	binary.LittleEndian.PutUint16(buf[12:], req.Disk)
-	binary.LittleEndian.PutUint16(buf[14:], req.Flags)
-	binary.LittleEndian.PutUint64(buf[16:], uint64(req.Offset))
-	binary.LittleEndian.PutUint32(buf[24:], uint32(req.Length))
-	n := reqHeaderSize
+	dst = binary.LittleEndian.AppendUint32(dst, Magic)
+	dst = binary.LittleEndian.AppendUint64(dst, req.ID)
+	dst = binary.LittleEndian.AppendUint16(dst, req.Disk)
+	dst = binary.LittleEndian.AppendUint16(dst, req.Flags)
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.Offset))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(req.Length))
 	if req.Flags&FlagTraced != 0 {
-		binary.LittleEndian.PutUint64(buf[reqHeaderSize:], req.Trace)
-		n += 8
+		dst = binary.LittleEndian.AppendUint64(dst, req.Trace)
 	}
-	_, err := w.Write(buf[:n])
+	return dst
+}
+
+// WriteRequest encodes one request frame and writes it to w.
+func WriteRequest(w io.Writer, req Request) error {
+	var buf [reqHeaderSize + 8]byte
+	_, err := w.Write(appendRequest(buf[:0], req))
 	return err
 }
 
-// ReadRequest decodes a request frame, reading the trace-id extension
+// decoder decodes frames from one byte stream. Headers are read into
+// a scratch array that lives on the decoder — a stack array would
+// escape through the io.Reader call and cost one allocation per
+// frame — so a connection's steady state decodes without allocating.
+// Not safe for concurrent use: each connection's read loop owns one.
+type decoder struct {
+	r   io.Reader
+	hdr [reqHeaderSize + 8]byte // the largest header: a traced request
+}
+
+// fill reads the next n header bytes into the scratch, after the
+// `have` bytes of the frame already there. A stream that ends inside
+// a frame is io.ErrUnexpectedEOF; io.EOF means it ended cleanly
+// between frames.
+func (d *decoder) fill(have, n int) error {
+	_, err := io.ReadFull(d.r, d.hdr[have:have+n])
+	if err == io.EOF && have > 0 {
+		err = io.ErrUnexpectedEOF
+	}
+	return err
+}
+
+// readRequest decodes a request frame, reading the trace-id extension
 // when FlagTraced is set.
-func ReadRequest(r io.Reader) (Request, error) {
-	var buf [reqHeaderSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+func (d *decoder) readRequest() (Request, error) {
+	if err := d.fill(0, reqHeaderSize); err != nil {
 		return Request{}, err
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
+	b := d.hdr[:]
+	if binary.LittleEndian.Uint32(b[0:]) != Magic {
 		return Request{}, ErrBadMagic
 	}
 	req := Request{
-		ID:     binary.LittleEndian.Uint64(buf[4:]),
-		Disk:   binary.LittleEndian.Uint16(buf[12:]),
-		Flags:  binary.LittleEndian.Uint16(buf[14:]),
-		Offset: int64(binary.LittleEndian.Uint64(buf[16:])),
-		Length: int64(binary.LittleEndian.Uint32(buf[24:])),
+		ID:     binary.LittleEndian.Uint64(b[4:]),
+		Disk:   binary.LittleEndian.Uint16(b[12:]),
+		Flags:  binary.LittleEndian.Uint16(b[14:]),
+		Offset: int64(binary.LittleEndian.Uint64(b[16:])),
+		Length: int64(binary.LittleEndian.Uint32(b[24:])),
 	}
 	if req.Length > MaxLength {
 		return Request{}, ErrTooLarge
 	}
 	if req.Flags&FlagTraced != 0 {
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
+		if err := d.fill(reqHeaderSize, 8); err != nil {
 			return Request{}, fmt.Errorf("netserve: trace extension: %w", err)
 		}
-		req.Trace = binary.LittleEndian.Uint64(ext[:])
+		req.Trace = binary.LittleEndian.Uint64(b[reqHeaderSize:])
 	}
 	return req, nil
 }
 
-// WriteResponse encodes a response frame.
-func WriteResponse(w io.Writer, resp Response) error {
-	if int64(len(resp.Data)) > MaxLength {
-		return ErrTooLarge
+// readResponse decodes a response frame: v2 framing (flags word, and
+// the offset echo on RespPayload frames) on a negotiated connection,
+// v1 otherwise. When a pool is supplied the payload lands in pooled
+// receive memory that the consumer owns via Response.Release; nil
+// falls back to plain allocation.
+func (d *decoder) readResponse(v2 bool, pool *bufpool.Pool) (Response, error) {
+	size := respHeaderSize
+	if v2 {
+		size = respV2HeaderSize
 	}
-	var buf [respHeaderSize]byte
-	binary.LittleEndian.PutUint32(buf[0:], Magic)
-	binary.LittleEndian.PutUint64(buf[4:], resp.ID)
-	binary.LittleEndian.PutUint32(buf[12:], resp.Status)
-	binary.LittleEndian.PutUint32(buf[16:], uint32(len(resp.Data)))
-	if _, err := w.Write(buf[:]); err != nil {
-		return err
-	}
-	if len(resp.Data) > 0 {
-		if _, err := w.Write(resp.Data); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ResponseWriter serializes response frames for one connection. The
-// header (and, on v2 payload frames, the offset echo) and the payload
-// reach the socket in a single vectored write (net.Buffers writev)
-// straight from the staged buffer — the payload bytes are never
-// copied. The scratch header and gather list live on the writer so
-// the steady state allocates nothing. Not safe for concurrent use:
-// each connection's writer goroutine owns exactly one.
-type ResponseWriter struct {
-	w       io.Writer
-	payload bool // v2 framing negotiated on this connection
-	hdr     [respV2HeaderSize + 8]byte
-	scratch [2][]byte
-	bufs    net.Buffers
-}
-
-// NewResponseWriter builds a writer for one connection. payload
-// selects v2 framing (negotiated connections); false emits
-// byte-identical v1 frames, just gathered into one writev.
-func NewResponseWriter(w io.Writer, payload bool) *ResponseWriter {
-	return &ResponseWriter{w: w, payload: payload}
-}
-
-// WriteResponse encodes and writes one response frame. The caller
-// still owns resp's buffer and must Release it afterwards — by then
-// the write has drained (or failed), so the pooled bytes are free to
-// recycle either way.
-func (fw *ResponseWriter) WriteResponse(resp *Response) error {
-	if int64(len(resp.Data)) > MaxLength {
-		return ErrTooLarge
-	}
-	binary.LittleEndian.PutUint32(fw.hdr[0:], Magic)
-	binary.LittleEndian.PutUint64(fw.hdr[4:], resp.ID)
-	binary.LittleEndian.PutUint32(fw.hdr[12:], resp.Status)
-	var n int
-	if fw.payload {
-		binary.LittleEndian.PutUint32(fw.hdr[16:], resp.Flags)
-		binary.LittleEndian.PutUint32(fw.hdr[20:], uint32(len(resp.Data)))
-		n = respV2HeaderSize
-		if resp.Flags&RespPayload != 0 {
-			binary.LittleEndian.PutUint64(fw.hdr[n:], uint64(resp.Offset))
-			n += 8
-		}
-	} else {
-		binary.LittleEndian.PutUint32(fw.hdr[16:], uint32(len(resp.Data)))
-		n = respHeaderSize
-	}
-	// The gather list is rebuilt from the scratch array every call:
-	// WriteTo consumes a net.Buffers as it drains, so yesterday's
-	// slice header is spent.
-	fw.bufs = net.Buffers(append(fw.scratch[:0], fw.hdr[:n]))
-	if len(resp.Data) > 0 {
-		fw.bufs = append(fw.bufs, resp.Data)
-	}
-	_, err := fw.bufs.WriteTo(fw.w)
-	return err
-}
-
-// ReadResponse decodes a response frame.
-func ReadResponse(r io.Reader) (Response, error) {
-	var buf [respHeaderSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
+	if err := d.fill(0, size); err != nil {
 		return Response{}, err
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
+	b := d.hdr[:]
+	if binary.LittleEndian.Uint32(b[0:]) != Magic {
 		return Response{}, ErrBadMagic
 	}
 	resp := Response{
-		ID:     binary.LittleEndian.Uint64(buf[4:]),
-		Status: binary.LittleEndian.Uint32(buf[12:]),
+		ID:     binary.LittleEndian.Uint64(b[4:]),
+		Status: binary.LittleEndian.Uint32(b[12:]),
 	}
-	n := binary.LittleEndian.Uint32(buf[16:])
-	if int64(n) > MaxLength {
+	if v2 {
+		resp.Flags = binary.LittleEndian.Uint32(b[16:])
+	}
+	n := int64(binary.LittleEndian.Uint32(b[size-4:]))
+	if n > MaxLength {
 		return Response{}, ErrTooLarge
 	}
+	if resp.Flags&RespPayload != 0 {
+		if err := d.fill(size, 8); err != nil {
+			return Response{}, fmt.Errorf("netserve: offset echo: %w", err)
+		}
+		resp.Offset = int64(binary.LittleEndian.Uint64(b[size:]))
+	}
 	if n > 0 {
-		resp.Data = make([]byte, n)
-		if _, err := io.ReadFull(r, resp.Data); err != nil {
+		if pool != nil {
+			resp.buf = pool.Get(n)
+			resp.Data = resp.buf.Data
+		} else {
+			resp.Data = make([]byte, n)
+		}
+		if _, err := io.ReadFull(d.r, resp.Data); err != nil {
+			resp.Release()
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
 			return Response{}, fmt.Errorf("netserve: payload: %w", err)
 		}
 	}
 	return resp, nil
 }
 
-// readResponseV2 decodes one v2 response frame. When a pool is
-// supplied the payload lands in pooled receive memory that the
-// consumer owns via Response.Release; nil falls back to plain
-// allocation.
-func readResponseV2(r io.Reader, pool *bufpool.Pool) (Response, error) {
-	var buf [respV2HeaderSize]byte
-	if _, err := io.ReadFull(r, buf[:]); err != nil {
-		return Response{}, err
+// ReadRequest decodes one request frame from r.
+func ReadRequest(r io.Reader) (Request, error) {
+	d := decoder{r: r}
+	return d.readRequest()
+}
+
+// ReadResponse decodes one v1 response frame from r.
+func ReadResponse(r io.Reader) (Response, error) {
+	d := decoder{r: r}
+	return d.readResponse(false, nil)
+}
+
+// The bounds on one vectored write. A batch pins its frames' staged
+// buffers until the write returns, so together with the response
+// queue these cap the staging memory a connection whose peer has
+// stopped reading can hold.
+const (
+	maxBatchFrames = 64
+	maxBatchBytes  = 1 << 20
+)
+
+// ResponseWriter serializes response frames for one connection. All
+// the headers of a batch (and, on v2 payload frames, the offset
+// echoes) are encoded into one reused arena and reach the socket
+// together with the payloads in a single vectored write (net.Buffers
+// writev); payload bytes go out straight from the staged buffers and
+// are never copied. The arena and gather list live on the writer so
+// the steady state allocates nothing. Not safe for concurrent use:
+// each connection's writer goroutine owns exactly one.
+type ResponseWriter struct {
+	w       io.Writer
+	payload bool     // v2 framing negotiated on this connection
+	hdrs    []byte   // every header of the batch being written
+	iov     [][]byte // gather list: header runs and payloads, in wire order
+	run     int      // where the last gather entry starts in hdrs; -1 if it is a payload
+	bufs    net.Buffers
+}
+
+// NewResponseWriter builds a writer for one connection. payload
+// selects v2 framing (negotiated connections); false emits
+// byte-identical v1 frames.
+func NewResponseWriter(w io.Writer, payload bool) *ResponseWriter {
+	return &ResponseWriter{w: w, payload: payload}
+}
+
+// WriteResponse encodes and writes one response frame: a batch of
+// one. The caller still owns resp's buffer and must Release it
+// afterwards — by then the write has drained (or failed), so the
+// pooled bytes are free to recycle either way.
+func (fw *ResponseWriter) WriteResponse(resp *Response) error {
+	fw.begin(1)
+	if err := fw.add(resp); err != nil {
+		return err
 	}
-	if binary.LittleEndian.Uint32(buf[0:]) != Magic {
-		return Response{}, ErrBadMagic
-	}
-	resp := Response{
-		ID:     binary.LittleEndian.Uint64(buf[4:]),
-		Status: binary.LittleEndian.Uint32(buf[12:]),
-		Flags:  binary.LittleEndian.Uint32(buf[16:]),
-	}
-	n := binary.LittleEndian.Uint32(buf[20:])
-	if int64(n) > MaxLength {
-		return Response{}, ErrTooLarge
-	}
-	if resp.Flags&RespPayload != 0 {
-		var ext [8]byte
-		if _, err := io.ReadFull(r, ext[:]); err != nil {
-			return Response{}, fmt.Errorf("netserve: offset echo: %w", err)
+	return fw.flush()
+}
+
+// writeBatch encodes every frame of batch and issues one vectored
+// write for all of them. The caller owns the frames' buffers, as with
+// WriteResponse.
+func (fw *ResponseWriter) writeBatch(batch []Response) error {
+	fw.begin(len(batch))
+	for i := range batch {
+		if err := fw.add(&batch[i]); err != nil {
+			return err
 		}
-		resp.Offset = int64(binary.LittleEndian.Uint64(ext[:]))
 	}
-	if n > 0 {
-		if pool != nil {
-			pb := pool.Get(int64(n))
-			if _, err := io.ReadFull(r, pb.Data); err != nil {
-				pb.Release()
-				return Response{}, fmt.Errorf("netserve: payload: %w", err)
-			}
-			resp.Data = pb.Data
-			resp.buf = pb
-		} else {
-			resp.Data = make([]byte, n)
-			if _, err := io.ReadFull(r, resp.Data); err != nil {
-				return Response{}, fmt.Errorf("netserve: payload: %w", err)
-			}
-		}
+	return fw.flush()
+}
+
+// begin starts a batch of up to n frames. The arena is sized up front
+// so that the gather list's slices into it are never moved by a later
+// frame's append.
+func (fw *ResponseWriter) begin(n int) {
+	if need := n * (respV2HeaderSize + 8); cap(fw.hdrs) < need {
+		fw.hdrs = make([]byte, 0, need)
 	}
-	return resp, nil
+	fw.hdrs = fw.hdrs[:0]
+	fw.iov = fw.iov[:0]
+	fw.run = -1
+}
+
+// add encodes one frame onto the batch. Consecutive headers with no
+// payload between them are one run in the arena and so one gather
+// entry: a data-less batch is a single buffer however many frames it
+// holds.
+func (fw *ResponseWriter) add(resp *Response) error {
+	if int64(len(resp.Data)) > MaxLength {
+		return ErrTooLarge
+	}
+	if fw.run < 0 {
+		fw.run = len(fw.hdrs)
+		fw.iov = append(fw.iov, nil)
+	}
+	h := binary.LittleEndian.AppendUint32(fw.hdrs, Magic)
+	h = binary.LittleEndian.AppendUint64(h, resp.ID)
+	h = binary.LittleEndian.AppendUint32(h, resp.Status)
+	if fw.payload {
+		h = binary.LittleEndian.AppendUint32(h, resp.Flags)
+	}
+	h = binary.LittleEndian.AppendUint32(h, uint32(len(resp.Data)))
+	if fw.payload && resp.Flags&RespPayload != 0 {
+		h = binary.LittleEndian.AppendUint64(h, uint64(resp.Offset))
+	}
+	fw.hdrs = h
+	fw.iov[len(fw.iov)-1] = h[fw.run:]
+	if len(resp.Data) > 0 {
+		fw.iov = append(fw.iov, resp.Data)
+		fw.run = -1
+	}
+	return nil
+}
+
+// flush writes the batch. WriteTo consumes a net.Buffers as it drains,
+// so it works on a copy of the slice header and the gather list's
+// backing array is reused by the next batch.
+func (fw *ResponseWriter) flush() error {
+	fw.bufs = net.Buffers(fw.iov)
+	_, err := fw.bufs.WriteTo(fw.w)
+	return err
+}
+
+// WriteResponse encodes one v1 response frame and writes it to w.
+func WriteResponse(w io.Writer, resp Response) error {
+	return NewResponseWriter(w, false).WriteResponse(&resp)
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -19,18 +20,34 @@ import (
 // testbed's server half.
 type Server struct {
 	node   *core.Server
-	ingest *core.Ingest
+	ingest atomic.Pointer[core.Ingest]
 	ln     net.Listener
 	opts   ServerOptions
 
+	// mu guards the connection set only; the request path never takes
+	// it.
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} //lint:guardedby mu
 	closed bool                  //lint:guardedby mu
 	wg     sync.WaitGroup
 
-	stats  ServerStats //lint:guardedby mu
+	stats  serverCounters
 	obs    atomic.Pointer[Obs]
 	flight atomic.Pointer[flight.Recorder]
+}
+
+// serverCounters is ServerStats as the connections count it: one
+// atomic per field, so no two connections share a lock on the request
+// path.
+type serverCounters struct {
+	conns     atomic.Int64
+	requests  atomic.Int64
+	errors    atomic.Int64
+	bytesRead atomic.Int64
+	dropped   atomic.Int64
+	// written counts responses whose vectored write returned without
+	// error. Every completion ends up here or in dropped.
+	written atomic.Int64
 }
 
 // SetFlight attaches a flight recorder; nil detaches. The server
@@ -41,12 +58,16 @@ func (s *Server) SetFlight(rec *flight.Recorder) { s.flight.Store(rec) }
 
 // ServerStats counts server-side activity.
 type ServerStats struct {
-	Conns     int64
-	Requests  int64
+	Conns    int64
+	Requests int64
+	// Errors counts requests rejected before reaching the node and
+	// connections ended by a protocol error (bad magic, oversized or
+	// truncated frame).
 	Errors    int64
 	BytesRead int64
 	// DroppedResponses counts completions discarded because their
-	// connection's writer had already exited (dead peer).
+	// connection had died: every frame of the write that failed, and
+	// everything queued behind it.
 	DroppedResponses int64
 }
 
@@ -57,8 +78,9 @@ type ServerOptions struct {
 	// long, so silently dead peers cannot pin handler goroutines (and
 	// their pending completions) forever. Zero waits forever.
 	IdleTimeout time.Duration
-	// WriteTimeout bounds each response write. A peer that stops
-	// reading exhausts the response channel's slack and would
+	// WriteTimeout bounds each flush of the response writer: one
+	// vectored write of every frame queued at that moment. A peer that
+	// stops reading exhausts the response channel's slack and would
 	// otherwise wedge the writer permanently. Zero means no deadline.
 	WriteTimeout time.Duration
 	// Payload enables the v2 payload extension: a client whose hello
@@ -100,17 +122,17 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 
 // EnableWrites routes FlagWrite requests through the given ingest
 // coalescer. Without it, write requests get StatusBadRequest.
-func (s *Server) EnableWrites(ing *core.Ingest) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.ingest = ing
-}
+func (s *Server) EnableWrites(ing *core.Ingest) { s.ingest.Store(ing) }
 
 // Stats returns a snapshot of the counters.
 func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
+	return ServerStats{
+		Conns:            s.stats.conns.Load(),
+		Requests:         s.stats.requests.Load(),
+		Errors:           s.stats.errors.Load(),
+		BytesRead:        s.stats.bytesRead.Load(),
+		DroppedResponses: s.stats.dropped.Load(),
+	}
 }
 
 // Close stops accepting, closes every connection, and waits for the
@@ -145,8 +167,8 @@ func (s *Server) acceptLoop() {
 			return
 		}
 		s.conns[conn] = struct{}{}
-		s.stats.Conns++
 		s.mu.Unlock()
+		s.stats.conns.Add(1)
 		// One instrument snapshot per connection: the open-connections
 		// gauge increments and decrements on the same pointer even if
 		// SetObs changes mid-connection.
@@ -160,8 +182,31 @@ func (s *Server) acceptLoop() {
 	}
 }
 
-// handle runs one connection: a reader loop decoding requests and a
-// writer goroutine serializing responses. o is the instrument snapshot
+// serverConn is one accepted connection: the reader loop (handle)
+// decodes requests and submits them, completion callbacks enqueue
+// responses from arbitrary goroutines, and one writer goroutine
+// (writeLoop) owns every socket write.
+type serverConn struct {
+	s       *Server
+	conn    net.Conn
+	o       *Obs // instrument snapshot taken at accept time; may be nil
+	payload bool // v2 framing negotiated
+
+	// responses holds 64 frames, which with the 64 a write batch can
+	// hold is the slack the wire had when it wrote a frame at a time
+	// from a 128-entry queue: past it completions block until the
+	// socket moves or dies.
+	responses  chan Response
+	writerDone chan struct{}
+	// pending counts submitted requests whose completion has not yet
+	// been enqueued; the reader closes responses only after it drains.
+	pending sync.WaitGroup
+
+	freeMu sync.Mutex
+	free   []*call //lint:guardedby freeMu
+}
+
+// handle runs one connection to its end. o is the instrument snapshot
 // taken at accept time (may be nil).
 func (s *Server) handle(conn net.Conn, o *Obs) {
 	defer s.wg.Done()
@@ -174,6 +219,8 @@ func (s *Server) handle(conn net.Conn, o *Obs) {
 			o.openConns.Add(-1)
 		}
 	}()
+	cn := &serverConn{s: s, conn: conn, o: o,
+		responses: make(chan Response, 64), writerDone: make(chan struct{})}
 
 	// Handshake probe: a v2 client leads with a hello frame, a v1
 	// client's first bytes are a request frame. Peek the magic without
@@ -181,13 +228,13 @@ func (s *Server) handle(conn net.Conn, o *Obs) {
 	// written inline, before the writer goroutine exists, so nothing
 	// races the socket.
 	br := bufio.NewReaderSize(conn, 32<<10)
-	payload := false
 	if s.opts.IdleTimeout > 0 {
 		conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 	}
 	if first, err := br.Peek(4); err == nil && binary.LittleEndian.Uint32(first) == HelloMagic {
 		hello, err := ReadHello(br)
 		if err != nil {
+			cn.protocolError(err)
 			return
 		}
 		reply := Hello{Version: ProtoV1}
@@ -198,217 +245,276 @@ func (s *Server) handle(conn net.Conn, o *Obs) {
 		if err := WriteHello(conn, reply); err != nil {
 			return
 		}
-		payload = reply.Feats&FeatPayload != 0
+		cn.payload = reply.Feats&FeatPayload != 0
 	}
 
-	// Responses are produced by storage-node callbacks on arbitrary
-	// goroutines; a single writer serializes them onto the socket with
-	// vectored writes and releases each staged buffer only after its
-	// frame has drained. Once a write fails the writer keeps consuming
-	// — releasing and counting every remaining response as dropped —
-	// so each pooled buffer is released exactly once no matter where
-	// in the pipeline the disconnect caught it.
-	responses := make(chan Response, 128)
-	writerDone := make(chan struct{})
-	fw := NewResponseWriter(conn, payload)
-	go func() {
-		defer close(writerDone)
-		broken := false
-		for resp := range responses {
-			if broken {
-				resp.Release()
-				s.mu.Lock()
-				s.stats.DroppedResponses++
-				s.mu.Unlock()
-				if o != nil {
-					o.dropped.Inc()
-				}
-				continue
-			}
-			if s.opts.WriteTimeout > 0 {
-				conn.SetWriteDeadline(time.Now().Add(s.opts.WriteTimeout))
-			}
-			err := fw.WriteResponse(&resp)
-			// The payload is on the wire (or lost with the connection);
-			// either way its pooled memory can be recycled.
-			resp.Release()
-			if err != nil {
-				// Unblock the reader too: the connection is dead in one
-				// direction, so stop consuming requests that can never
-				// be answered.
-				conn.Close()
-				broken = true
-			}
-		}
-	}()
-	// send delivers a response to the writer. The writer drains the
-	// channel until the reader closes it, so the send always lands;
-	// the writerDone arm is a safety net that keeps a completion
-	// callback from ever blocking on a channel nobody drains.
-	send := func(resp Response) {
-		select {
-		case responses <- resp:
-		case <-writerDone:
-			resp.Release()
-			s.mu.Lock()
-			s.stats.DroppedResponses++
-			s.mu.Unlock()
-			if o != nil {
-				o.dropped.Inc()
-			}
-		}
-	}
-	// The reader loop owns closing the response channel, after every
-	// submitted request has completed.
-	var pending sync.WaitGroup
-
+	go cn.writeLoop()
+	dec := decoder{r: br}
 	for {
 		if s.opts.IdleTimeout > 0 {
 			conn.SetReadDeadline(time.Now().Add(s.opts.IdleTimeout))
 		}
-		req, err := ReadRequest(br)
+		req, err := dec.readRequest()
 		if err != nil {
+			cn.protocolError(err)
 			break
 		}
-		s.mu.Lock()
-		s.stats.Requests++
-		s.mu.Unlock()
-		if o != nil {
-			o.requests.Inc()
-		}
+		cn.serve(req)
+	}
+	// The reader owns closing the response channel, after every
+	// submitted request has completed.
+	cn.pending.Wait()
+	close(cn.responses)
+	<-cn.writerDone
+}
 
-		// Trace ingress: adopt the client's id or allocate one, and
-		// stamp the request's entry on the disk's ring so the node-edge
-		// events sit beside the shard's scheduling events.
-		rec := s.flight.Load()
-		var tid uint64
-		var ingressAt time.Duration
-		if rec != nil {
-			tid = req.Trace
-			if tid == 0 {
-				tid = rec.NextTrace()
-			}
-			ingressAt = rec.Now()
-			rec.RingFor(int(req.Disk)).Record(flight.Event{Trace: tid, Op: flight.OpIngress,
-				Disk: req.Disk, Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: ingressAt})
-		}
-		respond := func(code uint8) {
-			if rec == nil {
-				return
-			}
-			now := rec.Now()
-			rec.RingFor(int(req.Disk)).Record(flight.Event{Trace: tid, Op: flight.OpRespond, Err: code,
-				Disk: req.Disk, Stream: flight.NoStream, Offset: req.Offset, Length: req.Length,
-				T: now, Dur: now - ingressAt})
-		}
+// protocolError counts a read-side failure if it is the peer breaking
+// the protocol — bad magic, an oversized length, a frame cut short —
+// and not a connection simply ending (EOF between frames, a closed or
+// reset socket, an idle timeout).
+func (cn *serverConn) protocolError(err error) {
+	if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrTooLarge) || errors.Is(err, io.ErrUnexpectedEOF) {
+		cn.countError()
+	}
+}
 
-		if req.Flags&FlagWrite != 0 {
-			s.mu.Lock()
-			ing := s.ingest
-			s.mu.Unlock()
-			if ing == nil {
-				respond(flight.ErrIO)
-				send(Response{ID: req.ID, Status: StatusBadRequest})
-				continue
-			}
-			pending.Add(1)
-			werr := ing.Write(int(req.Disk), req.Offset, nil, req.Length, func(ackErr error) {
-				defer pending.Done()
-				resp := Response{ID: req.ID, Status: StatusOK}
-				if ackErr != nil {
-					resp.Status = StatusIOError
-					respond(flight.ErrIO)
-				} else {
-					respond(flight.ErrNone)
-					s.mu.Lock()
-					s.stats.BytesRead += req.Length // bytes moved either direction
-					s.mu.Unlock()
-					if o != nil {
-						o.readBytes.Add(req.Length)
-					}
-				}
-				send(resp)
-			})
-			if werr != nil {
-				pending.Done()
-				s.mu.Lock()
-				s.stats.Errors++
-				s.mu.Unlock()
-				if o != nil {
-					o.errors.Inc()
-				}
-				respond(flight.ErrIO)
-				send(Response{ID: req.ID, Status: StatusBadRequest})
-			}
-			continue
-		}
+func (cn *serverConn) countError() {
+	cn.s.stats.errors.Add(1)
+	if cn.o != nil {
+		cn.o.errors.Inc()
+	}
+}
 
-		wantData := req.Flags&FlagWantData != 0
-		pending.Add(1)
-		submitErr := s.node.Submit(core.Request{
-			Disk:   int(req.Disk),
-			Offset: req.Offset,
-			Length: req.Length,
-			Trace:  tid,
-			Done: func(r core.Response) {
-				defer pending.Done()
-				resp := Response{ID: req.ID, Status: StatusOK}
-				if r.Err != nil {
-					switch {
-					case errors.Is(r.Err, core.ErrFetchTimeout):
-						resp.Status = StatusTimeout
-						respond(flight.ErrTimeout)
-					case errors.Is(r.Err, core.ErrDiskDegraded):
-						resp.Status = StatusIOError
-						respond(flight.ErrDegraded)
-					default:
-						resp.Status = StatusIOError
-						respond(flight.ErrIO)
-					}
-				} else {
-					respond(flight.ErrNone)
-					s.mu.Lock()
-					s.stats.BytesRead += req.Length
-					s.mu.Unlock()
-					if o != nil {
-						o.readBytes.Add(req.Length)
-						o.requestLatency.Observe(r.End - r.Start)
-						o.window.Observe(r.End - r.Start)
-						o.scoreSLO(req.Length, r.End-r.Start)
-					}
-					if wantData && r.Data != nil {
-						// The frame takes over the storage node's staged
-						// buffer (no copy, no closure); the writer
-						// releases it once the vectored write drains.
-						resp.Data = r.Data
-						resp.buf = r.TakeBuf()
-						if payload {
-							resp.Flags = RespPayload
-							resp.Offset = req.Offset
-						}
-					} else {
-						r.Release()
-					}
+// writeLoop serializes responses onto the socket. It blocks for one
+// frame, then takes whatever else is already queued — up to
+// maxBatchFrames frames or maxBatchBytes of payload — and sends the
+// lot with one vectored write: a frame leaves no later than the moment
+// the queue would otherwise make the writer block, and a busy
+// connection pays one syscall per batch instead of one per frame. Each
+// staged buffer is released only after its batch's write has returned.
+// Once a write fails the writer keeps consuming — releasing and
+// counting every remaining response as dropped — so each pooled buffer
+// is released exactly once no matter where in the pipeline the
+// disconnect caught it.
+func (cn *serverConn) writeLoop() {
+	defer close(cn.writerDone)
+	fw := NewResponseWriter(cn.conn, cn.payload)
+	batch := make([]Response, 0, maxBatchFrames)
+	broken := false
+	for resp := range cn.responses {
+		batch = append(batch[:0], resp)
+		size := len(resp.Data)
+	fill:
+		for len(batch) < maxBatchFrames && size < maxBatchBytes {
+			select {
+			case more, ok := <-cn.responses:
+				if !ok {
+					break fill // closed and drained: the range ends next
 				}
-				// A full channel applies backpressure to completions
-				// while the writer drains it; a dead writer sheds them
-				// instead (send never blocks forever).
-				send(resp)
-			},
-		})
-		if submitErr != nil {
-			pending.Done()
-			s.mu.Lock()
-			s.stats.Errors++
-			s.mu.Unlock()
-			if o != nil {
-				o.errors.Inc()
+				batch = append(batch, more)
+				size += len(more.Data)
+			default:
+				break fill
 			}
-			respond(flight.ErrIO)
-			send(Response{ID: req.ID, Status: StatusBadRequest})
+		}
+		if !broken {
+			if cn.s.opts.WriteTimeout > 0 {
+				cn.conn.SetWriteDeadline(time.Now().Add(cn.s.opts.WriteTimeout))
+			}
+			if err := fw.writeBatch(batch); err != nil {
+				// Unblock the reader too: the connection is dead in one
+				// direction, so stop consuming requests that can never
+				// be answered. How much of the batch the peer received
+				// is unknowable, so all of it counts as dropped.
+				cn.conn.Close()
+				broken = true
+			}
+		}
+		if broken {
+			cn.drop(int64(len(batch)))
+		} else {
+			cn.s.stats.written.Add(int64(len(batch)))
+		}
+		// The payloads are on the wire (or lost with the connection);
+		// either way their pooled memory can be recycled.
+		for i := range batch {
+			batch[i].Release()
 		}
 	}
-	pending.Wait()
-	close(responses)
-	<-writerDone
+}
+
+// drop counts n responses discarded because the connection is dead.
+func (cn *serverConn) drop(n int64) {
+	cn.s.stats.dropped.Add(n)
+	if cn.o != nil {
+		cn.o.dropped.Add(n)
+	}
+}
+
+// send delivers a response to the writer. A full channel applies
+// backpressure to completions while the writer drains it. The writer
+// drains the channel until the reader closes it, so the send always
+// lands; the writerDone arm is a safety net that keeps a completion
+// callback from ever blocking on a channel nobody drains.
+func (cn *serverConn) send(resp Response) {
+	select {
+	case cn.responses <- resp:
+	case <-cn.writerDone:
+		resp.Release()
+		cn.drop(1)
+	}
+}
+
+// call is one request in flight between the reader loop and its
+// completion callback. Records are recycled through their connection's
+// free list and their completion funcs bound once, when a record is
+// first made, so a request costs no closure: the state a closure would
+// capture lives in the record.
+type call struct {
+	cn  *serverConn // fixed for the record's life
+	req Request
+	// rec is the flight recorder snapshot for this request (nil when
+	// none is attached); tid and ingressAt are its trace context.
+	rec       *flight.Recorder
+	tid       uint64
+	ingressAt time.Duration
+
+	done func(core.Response) // c.complete
+	ack  func(error)         // c.acked
+}
+
+// newCall takes a record off the connection's free list, or makes
+// one. The list never holds more than the connection's peak of
+// requests in flight.
+func (cn *serverConn) newCall() *call {
+	cn.freeMu.Lock()
+	if n := len(cn.free); n > 0 {
+		c := cn.free[n-1]
+		cn.free = cn.free[:n-1]
+		cn.freeMu.Unlock()
+		return c
+	}
+	cn.freeMu.Unlock()
+	c := &call{cn: cn}
+	c.done, c.ack = c.complete, c.acked
+	return c
+}
+
+// serve routes one decoded request to the storage node (or the ingest
+// coalescer); the response is enqueued by the completion.
+func (cn *serverConn) serve(req Request) {
+	s := cn.s
+	s.stats.requests.Add(1)
+	if cn.o != nil {
+		cn.o.requests.Inc()
+	}
+	c := cn.newCall()
+	c.req = req
+
+	// Trace ingress: adopt the client's id or allocate one, and stamp
+	// the request's entry on the disk's ring so the node-edge events
+	// sit beside the shard's scheduling events.
+	if c.rec = s.flight.Load(); c.rec != nil {
+		c.tid = req.Trace
+		if c.tid == 0 {
+			c.tid = c.rec.NextTrace()
+		}
+		c.ingressAt = c.rec.Now()
+		c.rec.RingFor(int(req.Disk)).Record(flight.Event{Trace: c.tid, Op: flight.OpIngress,
+			Disk: req.Disk, Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: c.ingressAt})
+	}
+
+	var err error
+	cn.pending.Add(1)
+	if req.Flags&FlagWrite != 0 {
+		ing := s.ingest.Load()
+		if ing == nil {
+			c.finish(Response{ID: req.ID, Status: StatusBadRequest}, flight.ErrIO)
+			return
+		}
+		err = ing.Write(int(req.Disk), req.Offset, nil, req.Length, c.ack)
+	} else {
+		err = s.node.Submit(core.Request{Disk: int(req.Disk), Offset: req.Offset, Length: req.Length,
+			Trace: c.tid, Done: c.done})
+	}
+	if err != nil {
+		// Rejected before reaching the node: the completion will not run.
+		cn.countError()
+		c.finish(Response{ID: req.ID, Status: StatusBadRequest}, flight.ErrIO)
+	}
+}
+
+// finish ends a request: it stamps the respond event, recycles the
+// record and hands the response to the writer. It runs exactly once
+// per call, on whichever goroutine completed the request.
+func (c *call) finish(resp Response, code uint8) {
+	if c.rec != nil {
+		now := c.rec.Now()
+		c.rec.RingFor(int(c.req.Disk)).Record(flight.Event{Trace: c.tid, Op: flight.OpRespond, Err: code,
+			Disk: c.req.Disk, Stream: flight.NoStream, Offset: c.req.Offset, Length: c.req.Length,
+			T: now, Dur: now - c.ingressAt})
+	}
+	cn := c.cn
+	c.rec = nil
+	cn.freeMu.Lock()
+	cn.free = append(cn.free, c)
+	cn.freeMu.Unlock()
+	cn.send(resp)
+	cn.pending.Done()
+}
+
+// served counts a successful request's bytes (moved in either
+// direction).
+func (c *call) served() {
+	c.cn.s.stats.bytesRead.Add(c.req.Length)
+	if c.cn.o != nil {
+		c.cn.o.readBytes.Add(c.req.Length)
+	}
+}
+
+// acked is the ingest coalescer's completion for a write request.
+func (c *call) acked(err error) {
+	if err != nil {
+		c.finish(Response{ID: c.req.ID, Status: StatusIOError}, flight.ErrIO)
+		return
+	}
+	c.served()
+	c.finish(Response{ID: c.req.ID, Status: StatusOK}, flight.ErrNone)
+}
+
+// complete is the storage node's completion for a read request.
+func (c *call) complete(r core.Response) {
+	resp := Response{ID: c.req.ID, Status: StatusOK}
+	if r.Err != nil {
+		code := flight.ErrIO
+		resp.Status = StatusIOError
+		switch {
+		case errors.Is(r.Err, core.ErrFetchTimeout):
+			resp.Status = StatusTimeout
+			code = flight.ErrTimeout
+		case errors.Is(r.Err, core.ErrDiskDegraded):
+			code = flight.ErrDegraded
+		}
+		c.finish(resp, code)
+		return
+	}
+	c.served()
+	if o := c.cn.o; o != nil {
+		o.requestLatency.Observe(r.End - r.Start)
+		o.window.Observe(r.End - r.Start)
+		o.scoreSLO(c.req.Length, r.End-r.Start)
+	}
+	if c.req.Flags&FlagWantData != 0 && r.Data != nil {
+		// The frame takes over the storage node's staged buffer (no
+		// copy); the writer releases it once the vectored write drains.
+		resp.Data = r.Data
+		resp.buf = r.TakeBuf()
+		if c.cn.payload {
+			resp.Flags = RespPayload
+			resp.Offset = c.req.Offset
+		}
+	} else {
+		r.Release()
+	}
+	c.finish(resp, flight.ErrNone)
 }
