@@ -1,14 +1,13 @@
 // Command experiment regenerates the paper's figures on the simulated
-// I/O hierarchy and prints the series as text tables. It also hosts
-// the host-path benchmark (-bench-json), which measures the real
-// scheduler — not the simulation — against an in-memory device.
+// I/O hierarchy and prints the series as text tables. The real
+// node's performance is measured by the repository benchmark
+// (benchmark/), not here.
 //
 // Usage:
 //
 //	experiment -list
 //	experiment -fig fig10
 //	experiment -all -quick
-//	experiment -bench-json BENCH_core.json
 package main
 
 import (
@@ -18,7 +17,6 @@ import (
 	"path/filepath"
 	"time"
 
-	"seqstream/internal/bench"
 	"seqstream/internal/experiments"
 	"seqstream/internal/obs"
 )
@@ -42,191 +40,9 @@ func run(args []string) error {
 		seed    = fs.Uint64("seed", 1, "simulation seed")
 		csvDir  = fs.String("csv", "", "also write <dir>/<id>.csv per experiment")
 		metrics = fs.String("metrics", "", "emit a Prometheus-text registry snapshot per experiment: '-' for stdout, else <dir>/<id>.prom")
-
-		benchJSON     = fs.String("bench-json", "", "run the host-path core benchmark (sharded vs single-lock) and write the report to this path")
-		benchDisks    = fs.Int("bench-disks", 64, "bench: number of in-memory disks")
-		benchStreams  = fs.Int("bench-streams", 512, "bench: concurrent sequential streams")
-		benchRequests = fs.Int("bench-requests", 200, "bench: requests per stream")
-
-		benchFlight = fs.String("bench-flight", "", "run the flight-recorder overhead benchmark (recording off vs on) and write the report to this path")
-		budget      = fs.Float64("flight-budget", bench.DefaultFlightBudget, "bench-flight: acceptable req/s overhead fraction; exceeding it fails the run")
-
-		benchHealth  = fs.String("bench-health", "", "run the health-engine overhead benchmark (windows+engine off vs on, recorder on in both) and write the report to this path")
-		healthBudget = fs.Float64("health-budget", bench.DefaultHealthBudget, "bench-health: acceptable req/s overhead fraction; exceeding it fails the run")
-
-		benchSpec  = fs.String("bench-spec", "", "run the speculation benchmark (replicas+steering+speculation off vs on, healthy and with one straggling disk) and write the report to this path")
-		specBudget = fs.Float64("spec-budget", bench.DefaultSpecBudget, "bench-spec: acceptable healthy req/s overhead fraction; exceeding it fails the run")
-
-		benchPayload  = fs.String("bench-payload", "", "run the bytes-on-the-wire benchmark (data-less unbatched vs batched reaping vs verified payload delivery over loopback TCP) and write the report to this path")
-		payloadBudget = fs.Float64("payload-budget", bench.DefaultPayloadBudget, "bench-payload: acceptable data-less req/s overhead fraction; exceeding it fails the run")
-
-		benchSLO  = fs.String("bench-slo", "", "run the SLO-engine overhead benchmark (deadline scoring + burn windows off vs on, flight + health on in both) and write the report to this path")
-		sloBudget = fs.Float64("slo-budget", bench.DefaultSLOBudget, "bench-slo: acceptable req/s overhead fraction; exceeding it fails the run")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-
-	if *benchFlight != "" {
-		rep, err := bench.RunFlightComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *budget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		if err := rep.WriteJSON(*benchFlight); err != nil {
-			return err
-		}
-		if !rep.WithinBudget {
-			return fmt.Errorf("flight recorder overhead %.2f%% exceeds budget %.1f%%",
-				rep.OverheadFrac*100, rep.Budget*100)
-		}
-		return nil
-	}
-
-	if *benchHealth != "" {
-		rep, err := bench.RunHealthComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *healthBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		if err := rep.WriteJSON(*benchHealth); err != nil {
-			return err
-		}
-		if !rep.WithinBudget {
-			return fmt.Errorf("health engine overhead %.2f%% exceeds budget %.1f%%",
-				rep.OverheadFrac*100, rep.Budget*100)
-		}
-		return nil
-	}
-
-	if *benchSpec != "" {
-		rep, err := bench.RunSpeculationComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *specBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		if err := rep.WriteJSON(*benchSpec); err != nil {
-			return err
-		}
-		if !rep.WithinBudget {
-			return fmt.Errorf("speculation healthy overhead %.2f%% exceeds budget %.1f%%",
-				rep.OverheadFrac*100, rep.Budget*100)
-		}
-		return nil
-	}
-
-	if *benchPayload != "" {
-		rep, err := bench.RunPayloadComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *payloadBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		if err := rep.WriteJSON(*benchPayload); err != nil {
-			return err
-		}
-		if !rep.WithinBudget {
-			return fmt.Errorf("payload path data-less overhead %.2f%% exceeds budget %.1f%%",
-				rep.OverheadFrac*100, rep.Budget*100)
-		}
-		return nil
-	}
-
-	if *benchSLO != "" {
-		rep, err := bench.RunSLOComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *sloBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		if err := rep.WriteJSON(*benchSLO); err != nil {
-			return err
-		}
-		if !rep.WithinBudget {
-			return fmt.Errorf("slo engine overhead %.2f%% exceeds budget %.1f%%",
-				rep.OverheadFrac*100, rep.Budget*100)
-		}
-		return nil
-	}
-
-	if *benchJSON != "" {
-		rep, err := bench.RunComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Print(rep.Summary())
-		// Fold the health-overhead comparison into the same document so
-		// BENCH_core.json records the budget verdict alongside the
-		// sharding speedup.
-		h, err := bench.RunHealthComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *healthBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(h.Summary())
-		rep.Health = &h
-		// Likewise the speculation comparison: overhead on a healthy
-		// fleet plus the tail payoff under one straggling disk.
-		sp, err := bench.RunSpeculationComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *specBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(sp.Summary())
-		rep.Speculation = &sp
-		// And the bytes-on-the-wire comparison: the data-less overhead
-		// verdict plus real payload MB/s over loopback TCP.
-		pl, err := bench.RunPayloadComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *payloadBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(pl.Summary())
-		rep.Payload = &pl
-		// And the SLO comparison: the full observability stack's
-		// deadline-scoring overhead verdict.
-		so, err := bench.RunSLOComparison(bench.Config{
-			Disks:    *benchDisks,
-			Streams:  *benchStreams,
-			Requests: *benchRequests,
-		}, *sloBudget)
-		if err != nil {
-			return err
-		}
-		fmt.Print(so.Summary())
-		rep.SLO = &so
-		return rep.WriteJSON(*benchJSON)
 	}
 
 	if *list {

@@ -97,16 +97,6 @@ type Config struct {
 	// single-lock scheduler and exists for A/B benchmarking.
 	Shards int
 
-	// CompletionBatch bounds how many queued device completions a
-	// shard's reaper processes per lock acquisition. Device callbacks
-	// enqueue their completion and the first caller drains the queue
-	// in batches of up to this size, each batch under one shard-lock
-	// hold — amortizing lock handoffs and flight-recorder records the
-	// same way the completion flush batches delivery. Zero defaults to
-	// 32; 1 processes completions one per lock hold (the pre-batching
-	// behavior, kept for A/B benchmarking).
-	CompletionBatch int
-
 	// Pool is the staging buffer pool used when the device supports
 	// ReadInto. Nil allocates a private pool; supply one to share
 	// staging memory with other components (the ingest path) or to
@@ -277,9 +267,6 @@ func (c *Config) ApplyDefaults() {
 	if c.Policy == nil {
 		c.Policy = RoundRobin{}
 	}
-	if c.CompletionBatch == 0 {
-		c.CompletionBatch = 32
-	}
 	if c.SpecQuantile > 0 {
 		if c.SpecMinSamples == 0 {
 			c.SpecMinSamples = 8
@@ -347,8 +334,6 @@ func (c Config) Validate() error {
 		return errors.New("core: breaker cooldown must be positive with the breaker enabled")
 	case c.Shards < 0:
 		return errors.New("core: shard count must be >= 0")
-	case c.CompletionBatch <= 0:
-		return errors.New("core: completion batch must be positive")
 	case c.WindowSpan < 0:
 		return errors.New("core: window span must be >= 0")
 	case c.WindowBuckets < 0:

@@ -46,12 +46,10 @@
 // Device completions reach the shard through a second, smaller batch
 // layer: each completion enqueues onto a per-shard queue guarded by
 // its own leaf mutex (never held together with the shard lock), and a
-// CAS-elected reaper drains up to Config.CompletionBatch completions
-// per shard-lock acquisition, running the delivery flush once per
-// batch. CompletionBatch = 1 reproduces the one-lock-per-completion
-// discipline for A/B comparison; under the simulator the engine
-// thread reaps inline in FIFO order, so event sequences are
-// unchanged.
+// CAS-elected reaper drains up to 32 completions per shard-lock
+// acquisition, running the delivery flush once per batch. Under the
+// simulator the engine thread reaps inline in FIFO order, so event
+// sequences are unchanged.
 //
 // # Staging buffers
 //

@@ -16,8 +16,8 @@ import (
 // waiter — per completion. The reaper amortizes both the same way
 // the completion flush batches delivery: callbacks enqueue their
 // completion on a small leaf-locked queue, and the first caller to
-// arrive drains the queue in bounded batches (Config.CompletionBatch
-// per shard-lock hold) while later callers enqueue and return
+// arrive drains the queue in bounded batches (completionBatch per
+// shard-lock hold) while later callers enqueue and return
 // immediately.
 //
 // Ordering stays deterministic under the simulator: its single
@@ -50,6 +50,10 @@ const (
 	compDirect
 )
 
+// completionBatch bounds how many queued completions the reaper
+// processes per shard-lock hold.
+const completionBatch = 32
+
 // enqueueCompletion queues one device completion and reaps the queue
 // unless another goroutine already is. Callable from any goroutine;
 // no locks held.
@@ -60,19 +64,18 @@ func (sh *shard) enqueueCompletion(c completion) {
 	sh.reapCompletions()
 }
 
-// takeCompletionBatch moves up to CompletionBatch queued completions
+// takeCompletions moves up to completionBatch queued completions
 // into the recycled batch slice, returning nil when the queue is
 // empty.
-func (sh *shard) takeCompletionBatch() []completion {
-	limit := sh.srv.cfg.CompletionBatch
+func (sh *shard) takeCompletions() []completion {
 	sh.compMu.Lock()
 	n := len(sh.compQ)
 	if n == 0 {
 		sh.compMu.Unlock()
 		return nil
 	}
-	if n > limit {
-		n = limit
+	if n > completionBatch {
+		n = completionBatch
 	}
 	batch := append(sh.compSpare[:0], sh.compQ[:n]...)
 	sh.compSpare = nil
@@ -83,10 +86,10 @@ func (sh *shard) takeCompletionBatch() []completion {
 	return batch
 }
 
-// recycleCompletionBatch returns a drained batch slice for reuse.
+// recycleCompletions returns a drained batch slice for reuse.
 // Under concurrent reaps a slice may be dropped to the garbage
 // collector instead, which is only a missed reuse.
-func (sh *shard) recycleCompletionBatch(batch []completion) {
+func (sh *shard) recycleCompletions(batch []completion) {
 	clear(batch)
 	sh.compMu.Lock()
 	if sh.compSpare == nil {
@@ -106,7 +109,7 @@ func (sh *shard) reapCompletions() {
 		return // the running reaper picks the entry up
 	}
 	for {
-		batch := sh.takeCompletionBatch()
+		batch := sh.takeCompletions()
 		if batch == nil {
 			sh.reaping.Store(false)
 			// An enqueue between the empty check and the flag store
@@ -135,7 +138,7 @@ func (sh *shard) reapCompletions() {
 			}
 		}
 		sh.mu.Unlock()
-		sh.recycleCompletionBatch(batch)
+		sh.recycleCompletions(batch)
 		sh.flush()
 	}
 }

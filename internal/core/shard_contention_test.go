@@ -40,6 +40,9 @@ func TestShardContention(t *testing.T) {
 	)
 	var wg, pending sync.WaitGroup
 	stop := make(chan struct{})
+	// Every request is counted before any is submitted: an Add racing
+	// Wait at a zero count could let Wait return with requests unsent.
+	pending.Add((writers + 4) * requests)
 
 	// One sequential reader per disk: all shards classify and dispatch
 	// concurrently.
@@ -48,7 +51,6 @@ func TestShardContention(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
-				pending.Add(1)
 				err := srv.Submit(Request{
 					Disk:   w % disks,
 					Offset: int64(i) * req,
@@ -56,7 +58,7 @@ func TestShardContention(t *testing.T) {
 					Done:   func(r Response) { r.Release(); pending.Done() },
 				})
 				if err != nil {
-					pending.Done()
+					pending.Add(i - requests) // this and the unsubmitted rest
 					t.Errorf("Submit: %v", err)
 					return
 				}
@@ -69,7 +71,6 @@ func TestShardContention(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < requests; i++ {
-				pending.Add(1)
 				off := (int64(i*2654435761+w*97) % ((1 << 30) / req)) * req
 				if off < 0 {
 					off = -off
@@ -81,7 +82,7 @@ func TestShardContention(t *testing.T) {
 					Done:   func(r Response) { r.Release(); pending.Done() },
 				})
 				if err != nil {
-					pending.Done()
+					pending.Add(i - requests) // this and the unsubmitted rest
 					t.Errorf("Submit: %v", err)
 					return
 				}
@@ -128,8 +129,7 @@ func TestShardContention(t *testing.T) {
 // TestBufferHitZeroAlloc is the steady-state allocation guard: serving
 // a request from an already-staged buffer must not allocate. It pins
 // the pooled-buffer and batched-delivery fast path — a regression here
-// means a per-request allocation crept back in (CI's bench-smoke job
-// runs this test).
+// means a per-request allocation crept back in.
 func TestBufferHitZeroAlloc(t *testing.T) {
 	bufferHitZeroAlloc(t, false, false)
 }

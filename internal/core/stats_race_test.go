@@ -33,6 +33,9 @@ func TestStatsRace(t *testing.T) {
 	)
 	var wg, pending sync.WaitGroup
 	stop := make(chan struct{})
+	// Every request is counted before any is submitted: an Add racing
+	// Wait at a zero count could let Wait return with requests unsent.
+	pending.Add(writers * requests)
 
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -40,7 +43,6 @@ func TestStatsRace(t *testing.T) {
 			defer wg.Done()
 			base := (int64(w) * dev.Capacity(0) / writers) &^ 511
 			for i := 0; i < requests; i++ {
-				pending.Add(1)
 				err := srv.Submit(Request{
 					Disk:   0,
 					Offset: base + int64(i)*req,
@@ -48,7 +50,7 @@ func TestStatsRace(t *testing.T) {
 					Done:   func(Response) { pending.Done() },
 				})
 				if err != nil {
-					pending.Done()
+					pending.Add(i - requests) // this and the unsubmitted rest
 					t.Errorf("Submit: %v", err)
 					return
 				}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -23,6 +24,21 @@ func TestResultTableAndValue(t *testing.T) {
 		if !strings.Contains(tab, want) {
 			t.Errorf("table missing %q:\n%s", want, tab)
 		}
+	}
+	// Labels of 16 characters or more must still be separated by
+	// whitespace from their neighbours.
+	long := Result{
+		ID: "y", Title: "T", XLabel: "streams per disk xx1", YLabel: "b",
+		Series: []string{"D=1 N=128 R=512K s01", "D=1 N=128 R=512K s02"},
+		Rows:   []Row{{X: "a twenty char row xx", Values: []float64{1, 22}}},
+	}
+	lines := strings.Split(long.Table(), "\n")
+	if got, want := strings.Fields(lines[2]), []string{"streams", "per", "disk", "xx1",
+		"D=1", "N=128", "R=512K", "s01", "D=1", "N=128", "R=512K", "s02"}; !slices.Equal(got, want) {
+		t.Errorf("header fields = %q, want %q", got, want)
+	}
+	if got, want := strings.Fields(lines[3]), []string{"a", "twenty", "char", "row", "xx", "1.00", "22.00"}; !slices.Equal(got, want) {
+		t.Errorf("row fields = %q, want %q", got, want)
 	}
 	if v, ok := r.Value("r2", "s2"); !ok || v != 4 {
 		t.Errorf("Value(r2,s2) = %v,%v", v, ok)

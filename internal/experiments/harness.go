@@ -17,6 +17,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"seqstream/internal/blockdev"
 	"seqstream/internal/controller"
@@ -45,20 +46,40 @@ type Row struct {
 }
 
 // Table renders the result as an aligned text table, one row per
-// x-value, matching the paper's figure axes.
+// x-value, matching the paper's figure axes. Each column is at least
+// 16 characters wide and one wider than its widest cell, so adjacent
+// labels never run together.
 func (r Result) Table() string {
+	cell := func(v float64) string { return strconv.FormatFloat(v, 'f', 2, 64) }
+	var widths []int // column 0 is the x column
+	widen := func(col int, s string) {
+		for len(widths) <= col {
+			widths = append(widths, 16)
+		}
+		widths[col] = max(widths[col], utf8.RuneCountInString(s)+1)
+	}
+	widen(0, r.XLabel)
+	for i, s := range r.Series {
+		widen(i+1, s)
+	}
+	for _, row := range r.Rows {
+		widen(0, row.X)
+		for i, v := range row.Values {
+			widen(i+1, cell(v))
+		}
+	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "%s — %s\n", r.ID, r.Title)
 	fmt.Fprintf(&b, "%s (x) vs %s (y)\n", r.XLabel, r.YLabel)
-	fmt.Fprintf(&b, "%-16s", r.XLabel)
-	for _, s := range r.Series {
-		fmt.Fprintf(&b, "%16s", s)
+	fmt.Fprintf(&b, "%-*s", widths[0], r.XLabel)
+	for i, s := range r.Series {
+		fmt.Fprintf(&b, "%*s", widths[i+1], s)
 	}
 	b.WriteByte('\n')
 	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "%-16s", row.X)
-		for _, v := range row.Values {
-			fmt.Fprintf(&b, "%16.2f", v)
+		fmt.Fprintf(&b, "%-*s", widths[0], row.X)
+		for i, v := range row.Values {
+			fmt.Fprintf(&b, "%*s", widths[i+1], cell(v))
 		}
 		b.WriteByte('\n')
 	}
