@@ -40,9 +40,10 @@ func TestGetReleaseRecycles(t *testing.T) {
 		t.Errorf("stats after release: %+v", st)
 	}
 	// The recycled buffer should come back (sync.Pool may drop it, but
-	// never across a single goroutine without GC pressure).
+	// never across a single goroutine without GC pressure — except
+	// under the race detector, which drops Puts on purpose).
 	b2 := p.Get(64 << 10)
-	if p.Stats().Misses != 1 {
+	if !raceEnabled && p.Stats().Misses != 1 {
 		t.Errorf("second Get missed: %+v", p.Stats())
 	}
 	b2.Release()

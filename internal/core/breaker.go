@@ -133,9 +133,6 @@ func (sh *shard) noteDiskFailure(disk int, now time.Duration) {
 		sh.srv.noteDegradedTransition(1)
 		sh.publishDiskDown(disk)
 		sh.stats.BreakerTrips++
-		if o := sh.srv.cfg.Obs; o != nil {
-			o.breakerTrips.Inc()
-		}
 		if sh.fr != nil {
 			sh.fr.Record(flight.Event{Op: flight.OpBreakerOpen, Err: flight.ErrDegraded,
 				Disk: uint16(disk), Stream: flight.NoStream, T: now})

@@ -98,6 +98,8 @@ type Stats struct {
 	SteeredFetches   int64 // fetches routed to a replica instead of the primary
 	Speculations     int64 // duplicate fetches issued on a replica for a slow leg
 	SpecWins         int64 // speculative legs that completed first and delivered
+	Rotations        int64 // streams rotated out of the dispatch set
+	GCTicks          int64 // garbage collector sweeps
 	SLOOnTime        int64 // deliveries scored on time against their SLO deadline
 	SLOLate          int64 // deliveries past deadline but within the miss boundary
 	SLOMissed        int64 // deliveries past the miss boundary, or failed outright
@@ -133,6 +135,8 @@ func (st *Stats) add(o *Stats) {
 	st.SteeredFetches += o.SteeredFetches
 	st.Speculations += o.Speculations
 	st.SpecWins += o.SpecWins
+	st.Rotations += o.Rotations
+	st.GCTicks += o.GCTicks
 	// SLOOnTime/SLOLate/SLOMissed are filled from the SLO ledger's
 	// atomics, not summed across shards.
 }
@@ -288,6 +292,9 @@ func NewServer(dev blockdev.Device, clock blockdev.Clock, cfg Config) (*Server, 
 		if o := cfg.Obs; o != nil {
 			o.registerSLO(ledger)
 		}
+	}
+	if o := cfg.Obs; o != nil {
+		o.registerServer(s)
 	}
 	s.repumpFn = s.repumpPass
 	return s, nil
@@ -594,7 +601,6 @@ func (s *Server) repumpPass() {
 		sh.mu.Lock()
 		if !sh.closed {
 			sh.pump()
-			sh.syncGauges()
 		}
 		sh.mu.Unlock()
 		sh.flush()
@@ -631,7 +637,6 @@ func (s *Server) evictGlobal() bool {
 	sh := s.shards[victimShard]
 	sh.mu.Lock()
 	freed := sh.evictIdleBuffer()
-	sh.syncGauges()
 	sh.mu.Unlock()
 	sh.flush()
 	return freed

@@ -62,6 +62,10 @@ type shard struct {
 	gcArmed    bool               //lint:guardedby mu
 	closed     bool               //lint:guardedby mu
 	steerTick  int                //lint:guardedby mu — steering pick counter (every 16th probes the primary)
+	// pickIdx/pickSet are pump's reused scratch: the admittable
+	// candidates' queue indexes and the slice handed to the policy.
+	pickIdx []int     //lint:guardedby mu
+	pickSet []*stream //lint:guardedby mu
 
 	// pendingIO collects device calls generated under the lock; they
 	// run after the lock is released (flush), because real devices may
@@ -216,10 +220,11 @@ func (sh *shard) recycle(calls []func(), batch []doneEntry) {
 	sh.mu.Unlock()
 }
 
-// deliver completes one batch of staged-data responses. When the
-// device models host CPU, each delivery is charged individually (the
-// sim's accounting is per request); otherwise the batch completes
-// synchronously with no per-response timer.
+// deliver completes one batch of staged-data responses, stamped with
+// End at enqueue (the serving shard's clock reading). When the device
+// models host CPU, each delivery is charged individually (the sim's
+// accounting is per request) and End moves past the charge; otherwise
+// the batch completes synchronously with no per-response timer.
 func (sh *shard) deliver(batch []doneEntry) {
 	srv := sh.srv
 	if srv.cpu != nil {
@@ -234,7 +239,6 @@ func (sh *shard) deliver(batch []doneEntry) {
 	}
 	for i := range batch {
 		e := &batch[i]
-		e.resp.End = srv.clock.Now()
 		e.done(e.resp)
 	}
 }
@@ -264,9 +268,6 @@ func (sh *shard) submit(req Request) error {
 	}
 	now := srv.clock.Now()
 	sh.stats.Requests++
-	if o := srv.cfg.Obs; o != nil {
-		o.requests.Inc()
-	}
 	// Edge events (submit/fastfail/direct) are not part of the stream
 	// lifecycle chain; they exist to follow an individual traced request
 	// end to end, so untraced bulk traffic skips them. This keeps the
@@ -282,14 +283,10 @@ func (sh *shard) submit(req Request) error {
 	// (and the staging memory behind them) never pile up on it.
 	if !sh.breakerAllows(req.Disk, now) {
 		sh.stats.BreakerFastFails++
-		if o := srv.cfg.Obs; o != nil {
-			o.breakerFastFails.Inc()
-		}
 		if sh.fr != nil && req.Trace != 0 {
 			sh.fr.Record(flight.Event{Trace: req.Trace, Op: flight.OpFastFail, Err: flight.ErrDegraded,
 				Disk: uint16(req.Disk), Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: now})
 		}
-		sh.syncGauges()
 		sh.mu.Unlock()
 		srv.complete(req.Done, Response{Start: now, Direct: true, Err: ErrDiskDegraded})
 		return nil
@@ -300,7 +297,6 @@ func (sh *shard) submit(req Request) error {
 	if st := sh.byExpected[key]; st != nil {
 		sh.acceptStreamRequest(st, req, now)
 		sh.armGC()
-		sh.syncGauges()
 		sh.mu.Unlock()
 		sh.flush()
 		return nil
@@ -313,7 +309,6 @@ func (sh *shard) submit(req Request) error {
 		if st := sh.lookupNearSeq(req.Disk, req.Offset); st != nil {
 			sh.acceptNearSeq(st, req, now)
 			sh.armGC()
-			sh.syncGauges()
 			sh.mu.Unlock()
 			sh.flush()
 			return nil
@@ -329,7 +324,6 @@ func (sh *shard) submit(req Request) error {
 	}
 	sh.directRead(req, now)
 	sh.armGC()
-	sh.syncGauges()
 	sh.mu.Unlock()
 	sh.flush()
 	return nil
@@ -354,9 +348,6 @@ func (sh *shard) acceptStreamRequest(st *stream, req Request, now time.Duration)
 		}
 		if b.ready {
 			sh.stats.BufferHits++
-			if o := sh.srv.cfg.Obs; o != nil {
-				o.bufferHits.Inc()
-			}
 			sh.serveFromBuffer(st, b, pendingReq{off: req.Offset, length: req.Length, start: now, trace: req.Trace, done: req.Done}, now)
 			return
 		}
@@ -413,9 +404,6 @@ func (sh *shard) lookupNearSeq(disk int, off int64) *stream {
 //lint:holds mu
 func (sh *shard) acceptNearSeq(st *stream, req Request, now time.Duration) {
 	sh.stats.NearSeqAccepted++
-	if o := sh.srv.cfg.Obs; o != nil {
-		o.nearSeqAccepted.Inc()
-	}
 	if req.Offset+req.Length <= st.nextClient {
 		// Entirely behind the stream: a re-read. Serve staged data if
 		// it is still resident; otherwise go directly to the disk.
@@ -423,9 +411,6 @@ func (sh *shard) acceptNearSeq(st *stream, req Request, now time.Duration) {
 		for _, b := range st.buffers {
 			if b.ready && b.covers(req.Offset, req.Length) {
 				sh.stats.BufferHits++
-				if o := sh.srv.cfg.Obs; o != nil {
-					o.bufferHits.Inc()
-				}
 				sh.serveFromBuffer(st, b,
 					pendingReq{off: req.Offset, length: req.Length, start: now, trace: req.Trace, done: req.Done}, now)
 				return
@@ -465,14 +450,14 @@ func (sh *shard) eligible(st *stream) bool {
 	if st.nextFetch >= sh.srv.dev.Capacity(st.disk) {
 		return false
 	}
-	if sh.diskBlocked(st.disk, sh.srv.clock.Now()) {
-		// An open circuit keeps the stream out of the dispatch set; it
-		// re-enters on the next client request after the disk recovers
-		// (or is collected once it idles out).
+	if ahead := st.nextFetch - st.nextClient; ahead >= int64(sh.srv.cfg.RequestsPerStream)*sh.srv.cfg.ReadAhead {
 		return false
 	}
-	ahead := st.nextFetch - st.nextClient
-	return ahead < int64(sh.srv.cfg.RequestsPerStream)*sh.srv.cfg.ReadAhead
+	// An open circuit keeps the stream out of the dispatch set; it
+	// re-enters on the next client request after the disk recovers (or
+	// is collected once it idles out). Tested last: it reads the clock,
+	// and a staged hit should not.
+	return !sh.diskBlocked(st.disk, sh.srv.clock.Now())
 }
 
 // serveFromBuffer completes one request from a ready buffer and frees
@@ -490,32 +475,35 @@ func (sh *shard) serveFromBuffer(st *stream, b *buffer, p pendingReq, now time.D
 	}
 	b.lastActive = now
 	sh.stats.BytesDelivered += p.length
+	// Deliver events, in the flight ring and the span log alike, are
+	// recorded at buffer granularity — the first request served from
+	// each staged buffer — rather than per request: a stream delivering
+	// thousands of buffer hits would otherwise flood the bounded logs
+	// with identical events and evict the scheduling history they exist
+	// to keep. The first hit also carries the interesting latency (it
+	// includes any wait for the fetch). Traced requests always record
+	// so an individual request can be followed end to end.
+	record := p.trace != 0 || firstHit
 	if o := sh.srv.cfg.Obs; o != nil {
-		o.bytesDelivered.Add(p.length)
 		o.requestLatency.Observe(now - p.start)
-		o.span(st.id, st.disk, obs.StageDeliver, p.off, p.length)
+		if record {
+			o.span(now, st.id, st.disk, obs.StageDeliver, p.off, p.length)
+		}
 	}
 	if w := sh.srv.win; w != nil {
-		w.observeRequest(now - p.start)
+		w.observeRequest(now, now-p.start)
 	}
 	sh.scoreDelivery(st.slo, st.disk, int32(st.id), p.trace, p.off, p.length, now-p.start, true, now)
 	sh.srv.traceEvent(trace.Event{Kind: trace.KindClient, Stream: st.id, Disk: st.disk, Offset: p.off,
 		Length: p.length, Start: p.start, End: now, Hit: true})
-	// Deliver events are recorded at buffer granularity — the first
-	// request served from each staged buffer — rather than per request:
-	// a stream delivering thousands of buffer hits would otherwise
-	// flood the bounded ring with identical events and evict the
-	// scheduling history the recorder exists to keep. The first hit
-	// also carries the interesting latency (it includes any wait for
-	// the fetch). Traced requests always record so an individual
-	// request can be followed end to end.
-	if sh.fr != nil && (p.trace != 0 || firstHit) {
+	if sh.fr != nil && record {
 		sh.fr.Record(flight.Event{Trace: p.trace, Op: flight.OpDeliver, Disk: uint16(st.disk),
 			Stream: int32(st.id), Offset: p.off, Length: p.length, T: now, Dur: now - p.start})
 	}
 	if p.done != nil {
 		resp := Response{
 			Start:      p.start,
+			End:        now,
 			Data:       b.slice(p.off, p.length),
 			FromBuffer: true,
 		}
@@ -589,9 +577,6 @@ func (sh *shard) scoreMiss(entry *slo.StreamLedger, disk int, stream int32, tr u
 //lint:holds mu
 func (sh *shard) directRead(req Request, now time.Duration) {
 	sh.stats.DirectReads++
-	if o := sh.srv.cfg.Obs; o != nil {
-		o.directReads.Inc()
-	}
 	srv := sh.srv
 	sh.pendingIO = append(sh.pendingIO, func() {
 		var pb *bufpool.Buf
@@ -639,11 +624,10 @@ func (sh *shard) onDirectDoneLocked(req Request, start time.Duration, pb *bufpoo
 		sh.noteDiskSuccess(req.Disk)
 	}
 	if o := srv.cfg.Obs; o != nil {
-		o.bytesDelivered.Add(req.Length)
 		o.requestLatency.Observe(end - start)
 	}
 	if w := srv.win; w != nil {
-		w.observeRequest(end - start)
+		w.observeRequest(end, end-start)
 	}
 	if derr != nil {
 		sh.scoreMiss(nil, req.Disk, flight.NoStream, req.Trace, req.Offset, req.Length, end-start, end)
@@ -701,10 +685,7 @@ func (sh *shard) createStream(req Request, now time.Duration) {
 	sh.byExpected[key] = st
 	srv.liveStreams.Add(1)
 	sh.stats.StreamsDetected++
-	if o := srv.cfg.Obs; o != nil {
-		o.streamsDetected.Inc()
-		o.span(st.id, st.disk, obs.StageClassify, req.Offset, req.Length)
-	}
+	srv.cfg.Obs.span(now, st.id, st.disk, obs.StageClassify, req.Offset, req.Length)
 	if sh.fr != nil {
 		sh.fr.Record(flight.Event{Trace: req.Trace, Op: flight.OpClassify, Disk: uint16(st.disk),
 			Stream: int32(st.id), Offset: req.Offset, Length: req.Length, T: now})
@@ -721,10 +702,13 @@ func (sh *shard) enqueueCandidate(st *stream) {
 	st.queued = true
 	sh.candidates = append(sh.candidates, st)
 	sh.srv.liveCands.Add(1)
-	sh.srv.cfg.Obs.span(st.id, st.disk, obs.StageEnqueue, st.nextFetch, 0)
-	if sh.fr != nil {
-		sh.fr.Record(flight.Event{Op: flight.OpEnqueue, Disk: uint16(st.disk),
-			Stream: int32(st.id), Offset: st.nextFetch, T: sh.srv.clock.Now()})
+	if sh.srv.cfg.Obs.Spans() != nil || sh.fr != nil {
+		now := sh.srv.clock.Now()
+		sh.srv.cfg.Obs.span(now, st.id, st.disk, obs.StageEnqueue, st.nextFetch, 0)
+		if sh.fr != nil {
+			sh.fr.Record(flight.Event{Op: flight.OpEnqueue, Disk: uint16(st.disk),
+				Stream: int32(st.id), Offset: st.nextFetch, T: now})
+		}
 	}
 }
 
@@ -810,8 +794,7 @@ func (sh *shard) pump() {
 			sh.markBlocked()
 			return
 		}
-		eligibleIdx := make([]int, 0, len(sh.candidates))
-		filtered := make([]*stream, 0, len(sh.candidates))
+		eligibleIdx, filtered := sh.pickIdx[:0], sh.pickSet[:0]
 		for i, c := range sh.candidates {
 			if sh.perDisk[c.disk] == minLoad && !sh.diskBlocked(c.disk, now) &&
 				!(skipSlow && sh.diskSlow(c.disk, baseline)) {
@@ -824,6 +807,8 @@ func (sh *shard) pump() {
 			pick = 0
 		}
 		idx := eligibleIdx[pick]
+		clear(filtered) // the scratch must not pin retired streams
+		sh.pickIdx, sh.pickSet = eligibleIdx, filtered
 		st := sh.candidates[idx]
 		sh.candidates = append(sh.candidates[:idx], sh.candidates[idx+1:]...)
 		srv.liveCands.Add(-1)
@@ -840,7 +825,7 @@ func (sh *shard) pump() {
 		st.issuedInResidency = 0
 		sh.dispatched++
 		sh.perDisk[st.disk]++
-		srv.cfg.Obs.span(st.id, st.disk, obs.StageDispatch, st.nextFetch, 0)
+		srv.cfg.Obs.span(now, st.id, st.disk, obs.StageDispatch, st.nextFetch, 0)
 		if sh.fr != nil {
 			sh.fr.Record(flight.Event{Op: flight.OpDispatch, Disk: uint16(st.disk),
 				Stream: int32(st.id), Offset: st.nextFetch, T: now})
@@ -950,10 +935,7 @@ func (sh *shard) evictIdleBuffer() bool {
 	}
 	now := sh.srv.clock.Now()
 	sh.stats.BuffersEvicted++
-	if o := sh.srv.cfg.Obs; o != nil {
-		o.buffersEvicted.Inc()
-		o.span(owner.id, victim.disk, obs.StageEvict, victim.start, victim.size())
-	}
+	sh.srv.cfg.Obs.span(now, owner.id, victim.disk, obs.StageEvict, victim.start, victim.size())
 	sh.srv.traceEvent(trace.Event{Kind: trace.KindEvict, Stream: owner.id, Disk: victim.disk,
 		Offset: victim.start, Length: victim.size(), Start: victim.issuedAt, End: now})
 	if sh.fr != nil {
@@ -1000,13 +982,14 @@ func (sh *shard) issueFetch(st *stream) {
 		sh.rotateOut(st)
 		return
 	}
+	now := srv.clock.Now()
 	b := &buffer{
 		disk:       st.disk,
 		readDisk:   sh.pickFetchDisk(st.disk),
 		start:      st.nextFetch,
 		end:        st.nextFetch + flen,
-		lastActive: srv.clock.Now(),
-		issuedAt:   srv.clock.Now(),
+		lastActive: now,
+		issuedAt:   now,
 		owner:      st,
 	}
 	if srv.rinto != nil {
@@ -1015,9 +998,6 @@ func (sh *shard) issueFetch(st *stream) {
 	b.inDevice = true
 	if b.readDisk != st.disk {
 		sh.stats.SteeredFetches++
-		if o := srv.cfg.Obs; o != nil {
-			o.steeredFetches.Inc()
-		}
 	}
 	st.buffers = append(st.buffers, b)
 	st.nextFetch = b.end
@@ -1029,11 +1009,7 @@ func (sh *shard) issueFetch(st *stream) {
 	sh.updateAccounting()
 	sh.stats.Fetches++
 	sh.stats.BytesFetched += flen
-	if o := srv.cfg.Obs; o != nil {
-		o.fetches.Inc()
-		o.bytesFetched.Add(flen)
-		o.span(st.id, st.disk, obs.StageFetch, b.start, flen)
-	}
+	srv.cfg.Obs.span(now, st.id, st.disk, obs.StageFetch, b.start, flen)
 	// Device-level events carry the disk the read actually lands on
 	// (readDisk), so per-disk latency attribution stays truthful when
 	// steering routes around the primary.
@@ -1126,9 +1102,6 @@ func (sh *shard) onFetchTimeout(st *stream, b *buffer) {
 	st.fetchInFlight = false
 	now := srv.clock.Now()
 	sh.stats.FetchTimeouts++
-	if o := srv.cfg.Obs; o != nil {
-		o.fetchTimeouts.Inc()
-	}
 	srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: st.disk, Offset: b.start,
 		Length: b.size(), Start: b.issuedAt, End: now, Err: ErrFetchTimeout.Error()})
 	if sh.fr != nil {
@@ -1148,7 +1121,6 @@ func (sh *shard) onFetchTimeout(st *stream, b *buffer) {
 	}
 	sh.parkStream(st)
 	sh.checkInvariants()
-	sh.syncGauges()
 	sh.mu.Unlock()
 	for _, p := range failed {
 		srv.complete(p.done, Response{Start: p.start, Err: ErrFetchTimeout})
@@ -1167,9 +1139,6 @@ func (sh *shard) onFetchTimeout(st *stream, b *buffer) {
 //lint:holds mu
 func (sh *shard) scheduleRetry(st *stream, b *buffer) {
 	sh.stats.FetchRetries++
-	if o := sh.srv.cfg.Obs; o != nil {
-		o.fetchRetries.Inc()
-	}
 	if sh.fr != nil {
 		sh.fr.Record(flight.Event{Op: flight.OpRetry, Disk: uint16(st.disk),
 			Stream: int32(st.id), Offset: b.start, Length: b.size(), T: sh.srv.clock.Now()})
@@ -1281,10 +1250,10 @@ func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr erro
 	}
 	if o := srv.cfg.Obs; o != nil {
 		o.fetchLatency.Observe(now - b.issuedAt)
-		o.span(st.id, st.disk, obs.StageStaged, b.start, b.size())
+		o.span(now, st.id, st.disk, obs.StageStaged, b.start, b.size())
 	}
 	if w := srv.win; w != nil {
-		w.observeFetch(b.readDisk, now-b.issuedAt)
+		w.observeFetch(b.readDisk, now, now-b.issuedAt)
 	}
 	srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: b.readDisk, Offset: b.start,
 		Length: b.size(), Start: b.issuedAt, End: now, Err: fetchErr})
@@ -1311,7 +1280,6 @@ func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr erro
 		sh.freeBuffer(st, b, false)
 		sh.parkStream(st)
 		sh.checkInvariants()
-		sh.syncGauges()
 		for _, p := range failed {
 			srv.complete(p.done, Response{Start: p.start, Err: derr})
 		}
@@ -1335,7 +1303,6 @@ func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr erro
 	// data, in order.
 	sh.drainQueue(st, now)
 	sh.checkInvariants()
-	sh.syncGauges()
 }
 
 // drainQueue serves the head of the stream queue while ready buffers
@@ -1357,9 +1324,6 @@ func (sh *shard) drainQueue(st *stream, now time.Duration) {
 		}
 		st.queue = st.queue[1:]
 		sh.stats.QueuedServed++
-		if o := sh.srv.cfg.Obs; o != nil {
-			o.queuedServed.Inc()
-		}
 		sh.serveFromBuffer(st, hit, p, now)
 	}
 }
@@ -1420,14 +1384,12 @@ func (sh *shard) unDispatch(st *stream) {
 	if sh.perDisk[st.disk] > 0 {
 		sh.perDisk[st.disk]--
 	}
+	sh.stats.Rotations++
 	// Rotation is worth a timeline entry: dispatch-set churn is the
 	// §4.2 mechanism the paper's fairness argument rests on.
-	if sh.srv.cfg.Obs != nil || sh.srv.cfg.Trace != nil || sh.fr != nil {
+	if sh.srv.cfg.Obs.Spans() != nil || sh.srv.cfg.Trace != nil || sh.fr != nil {
 		now := sh.srv.clock.Now()
-		if o := sh.srv.cfg.Obs; o != nil {
-			o.rotations.Inc()
-			o.span(st.id, st.disk, obs.StageRotate, st.nextFetch, 0)
-		}
+		sh.srv.cfg.Obs.span(now, st.id, st.disk, obs.StageRotate, st.nextFetch, 0)
 		sh.srv.traceEvent(trace.Event{Kind: trace.KindRotate, Stream: st.id, Disk: st.disk,
 			Offset: st.nextFetch, Start: now, End: now})
 		if sh.fr != nil {
@@ -1468,13 +1430,6 @@ func (sh *shard) freeBuffer(st *stream, b *buffer, gc bool) {
 	} else {
 		sh.stats.BuffersFreed++
 	}
-	if o := sh.srv.cfg.Obs; o != nil {
-		if gc {
-			o.buffersGCed.Inc()
-		} else {
-			o.buffersFreed.Inc()
-		}
-	}
 	sh.updateAccounting()
 }
 
@@ -1500,13 +1455,13 @@ func (sh *shard) maybeRetire(st *stream) {
 	sh.srv.sloLedger.Retire(st.slo)
 	sh.srv.liveStreams.Add(-1)
 	sh.stats.StreamsRetired++
-	if o := sh.srv.cfg.Obs; o != nil {
-		o.streamsRetired.Inc()
-		o.span(st.id, st.disk, obs.StageRetire, st.nextClient, 0)
-	}
-	if sh.fr != nil {
-		sh.fr.Record(flight.Event{Op: flight.OpRetire, Disk: uint16(st.disk),
-			Stream: int32(st.id), Offset: st.nextClient, T: sh.srv.clock.Now()})
+	if sh.srv.cfg.Obs.Spans() != nil || sh.fr != nil {
+		now := sh.srv.clock.Now()
+		sh.srv.cfg.Obs.span(now, st.id, st.disk, obs.StageRetire, st.nextClient, 0)
+		if sh.fr != nil {
+			sh.fr.Record(flight.Event{Op: flight.OpRetire, Disk: uint16(st.disk),
+				Stream: int32(st.id), Offset: st.nextClient, T: now})
+		}
 	}
 }
 
@@ -1529,9 +1484,7 @@ func (sh *shard) gcTick() {
 		return
 	}
 	now := srv.clock.Now()
-	if o := srv.cfg.Obs; o != nil {
-		o.gcTicks.Inc()
-	}
+	sh.stats.GCTicks++
 
 	for id, st := range sh.streams {
 		// Streams with in-flight fetches or waiting clients are live by
@@ -1568,10 +1521,7 @@ func (sh *shard) gcTick() {
 			srv.sloLedger.Retire(st.slo)
 			srv.liveStreams.Add(-1)
 			sh.stats.StreamsGCed++
-			if o := srv.cfg.Obs; o != nil {
-				o.streamsGCed.Inc()
-				o.span(st.id, st.disk, obs.StageGC, st.nextClient, 0)
-			}
+			srv.cfg.Obs.span(now, st.id, st.disk, obs.StageGC, st.nextClient, 0)
 			srv.traceEvent(trace.Event{Kind: trace.KindGC, Stream: st.id, Disk: st.disk,
 				Offset: st.nextClient, Start: st.lastActive, End: now})
 			if sh.fr != nil {
@@ -1584,7 +1534,6 @@ func (sh *shard) gcTick() {
 	sh.pump()
 	sh.armGC()
 	sh.checkInvariants()
-	sh.syncGauges()
 	sh.mu.Unlock()
 	sh.flush()
 }

@@ -240,9 +240,6 @@ func (sh *shard) onSpecTimer(st *stream, b *buffer) {
 	}
 	b.spec = sp
 	sh.stats.Speculations++
-	if o := srv.cfg.Obs; o != nil {
-		o.speculations.Inc()
-	}
 	// Disk is the slow leg's disk and Dur how long it had been
 	// outstanding when the duplicate was armed — the detector-facing
 	// half of the record; OpSpecWin carries the replica side.
@@ -372,7 +369,6 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 		sh.freeBuffer(st, b, false)
 		sh.parkStream(st)
 		sh.checkInvariants()
-		sh.syncGauges()
 		sh.mu.Unlock()
 		for _, p := range failed {
 			srv.complete(p.done, Response{Start: p.start, Err: derr})
@@ -417,12 +413,11 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 	sh.lastOffset[st.disk] = b.end
 	sh.stats.SpecWins++
 	if o := srv.cfg.Obs; o != nil {
-		o.specWins.Inc()
 		o.fetchLatency.Observe(now - sp.issuedAt)
-		o.span(st.id, st.disk, obs.StageStaged, b.start, b.size())
+		o.span(now, st.id, st.disk, obs.StageStaged, b.start, b.size())
 	}
 	if w := srv.win; w != nil {
-		w.observeFetch(sp.disk, now-sp.issuedAt)
+		w.observeFetch(sp.disk, now, now-sp.issuedAt)
 	}
 	srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: sp.disk, Offset: b.start,
 		Length: b.size(), Start: sp.issuedAt, End: now})
@@ -449,7 +444,6 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 	}
 	sh.drainQueue(st, now)
 	sh.checkInvariants()
-	sh.syncGauges()
 	sh.mu.Unlock()
 	sh.flush()
 }
@@ -482,7 +476,6 @@ func (sh *shard) noteReadOutcome(disk int, ok bool, now time.Duration) {
 		} else {
 			owner.noteDiskFailure(disk, owner.srv.clock.Now())
 		}
-		owner.syncGauges()
 		owner.mu.Unlock()
 	})
 }

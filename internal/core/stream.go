@@ -141,8 +141,9 @@ func (b *buffer) slice(off, n int64) []byte {
 // and return the index to admit.
 type DispatchPolicy interface {
 	// Next returns the index in candidates to admit. candidates is
-	// never empty. lastOffset is the most recent fetch offset per
-	// disk, for locality-aware policies.
+	// never empty, and is the shard's reused scratch: Next must not
+	// retain it (or modify it) past the call. lastOffset is the most
+	// recent fetch offset per disk, for locality-aware policies.
 	Next(candidates []*stream, lastOffset map[int]int64) int
 }
 

@@ -112,17 +112,18 @@ func (w *LatencyWindows) DiskEWMASeeded(disk int) bool {
 }
 
 // observeRequest records one served client request (buffer hit or
-// direct read) into the request window.
-func (w *LatencyWindows) observeRequest(d time.Duration) {
-	w.request.Observe(d)
+// direct read) of latency d, completed at now, into the request window.
+func (w *LatencyWindows) observeRequest(now, d time.Duration) {
+	w.request.ObserveAt(now, d)
 }
 
-// observeFetch records one completed read-ahead fetch into the
-// node-wide and per-disk fetch windows and the disk's EWMA.
-func (w *LatencyWindows) observeFetch(disk int, d time.Duration) {
-	w.fetch.Observe(d)
+// observeFetch records one read-ahead fetch of latency d, completed at
+// now, into the node-wide and per-disk fetch windows and the disk's
+// EWMA.
+func (w *LatencyWindows) observeFetch(disk int, now, d time.Duration) {
+	w.fetch.ObserveAt(now, d)
 	if disk >= 0 && disk < len(w.disks) {
-		w.disks[disk].fetch.Observe(d)
+		w.disks[disk].fetch.ObserveAt(now, d)
 		w.disks[disk].ewma.Observe(d)
 	}
 }

@@ -134,7 +134,10 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		return nil, fmt.Errorf("%w: version %d (want %d)", ErrBadSnapshot, v, snapshotVersion)
 	}
 	rings := int(binary.LittleEndian.Uint16(hdr[6:]))
-	s := &Snapshot{Version: snapshotVersion, Rings: make([][]Event, rings)}
+	// Rings and events grow as they are read, never to the header's
+	// counts: a 12-byte input claiming a 1<<24-event ring must fail at
+	// its first missing event, not reserve a gigabyte first.
+	s := &Snapshot{Version: snapshotVersion, Rings: [][]Event{}}
 	var rec [8 * wordsPerEvent]byte
 	for i := 0; i < rings; i++ {
 		var cnt [4]byte
@@ -145,7 +148,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 		if n > maxSnapshotRingEvents {
 			return nil, fmt.Errorf("%w: ring %d claims %d events", ErrBadSnapshot, i, n)
 		}
-		events := make([]Event, 0, n)
+		events := []Event{}
 		for j := uint32(0); j < n; j++ {
 			if _, err := io.ReadFull(br, rec[:]); err != nil {
 				return nil, fmt.Errorf("%w: ring %d event %d: %v", ErrBadSnapshot, i, j, err)
@@ -156,7 +159,7 @@ func ReadSnapshot(r io.Reader) (*Snapshot, error) {
 			}
 			events = append(events, unpack(&w, uint16(i)))
 		}
-		s.Rings[i] = events
+		s.Rings = append(s.Rings, events)
 	}
 	return s, nil
 }

@@ -161,6 +161,7 @@ const (
 	kindCounter metricKind = iota + 1
 	kindGauge
 	kindGaugeFunc
+	kindCounterFunc
 	kindHistogram
 	kindWindow
 )
@@ -173,6 +174,8 @@ func (k metricKind) String() string {
 		return "gauge"
 	case kindGaugeFunc:
 		return "gauge (func)"
+	case kindCounterFunc:
+		return "counter (func)"
 	case kindHistogram:
 		return "histogram"
 	case kindWindow:
@@ -193,6 +196,11 @@ type metric struct {
 	hist    *Histogram
 	fn      func() float64
 	win     *WindowedHistogram
+
+	// cfn is a counter func's live source; base holds the last values
+	// of the sources it replaced, so the family stays cumulative.
+	cfn  func() int64
+	base int64
 }
 
 // Registry holds named metric families and renders them for
@@ -285,6 +293,33 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	r.mu.Unlock()
 }
 
+// CounterFunc registers a counter whose value is computed by fn at
+// exposition time, for sources that already keep the count (a server's
+// Stats) so the hot path need not bump a second copy. Re-registering
+// an existing name folds the previous fn's last value into the
+// family's base and rebinds it to fn, so a family stays cumulative
+// across sequential sources (experiment cells, server rebuilds over
+// one registry). fn must be safe to call from the scraping goroutine
+// and must not touch the registry.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	m := r.lookup(name, help, kindCounterFunc, func(m *metric) {})
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if m.cfn != nil {
+		m.base += m.cfn()
+	}
+	m.cfn = fn
+}
+
+// counterOf reads a counter func's value: the folded base plus the
+// live source, called outside the registry lock.
+func (r *Registry) counterOf(m *metric) int64 {
+	r.mu.Lock()
+	base, fn := m.base, m.cfn
+	r.mu.Unlock()
+	return base + fn()
+}
+
 // Histogram returns the named histogram, registering it on first use.
 func (r *Registry) Histogram(name, help string) *Histogram {
 	m := r.lookup(name, help, kindHistogram, func(m *metric) { m.hist = &Histogram{} })
@@ -357,6 +392,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 				v = fn()
 			}
 			err = writeScalar(w, m, "gauge", v)
+		case kindCounterFunc:
+			err = writeScalar(w, m, "counter", float64(r.counterOf(m)))
 		case kindHistogram:
 			s := m.hist.Snapshot()
 			if err = writeHistogram(w, m, s); err == nil {
@@ -477,6 +514,8 @@ func (r *Registry) Vars() map[string]any {
 			} else {
 				out[m.name] = 0.0
 			}
+		case kindCounterFunc:
+			out[m.name] = r.counterOf(m)
 		case kindHistogram:
 			out[m.name] = map[string]any{
 				"count":   m.hist.Count(),

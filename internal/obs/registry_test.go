@@ -154,6 +154,24 @@ func TestGaugeFuncReplacement(t *testing.T) {
 	}
 }
 
+func TestCounterFuncFoldsReplacedSources(t *testing.T) {
+	reg := NewRegistry()
+	first := int64(5)
+	reg.CounterFunc("served_total", "served", func() int64 { return first })
+	first = 7 // the first source keeps counting until it is replaced
+	reg.CounterFunc("served_total", "served", func() int64 { return 3 })
+	if v, ok := reg.Vars()["served_total"].(int64); !ok || v != 10 {
+		t.Fatalf("counter func = %#v, want int64 10 (7 folded + 3 live)", reg.Vars()["served_total"])
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if out := b.String(); !strings.Contains(out, "# TYPE served_total counter\nserved_total 10\n") {
+		t.Fatalf("exposition:\n%s", out)
+	}
+}
+
 func TestHistogramQuantile(t *testing.T) {
 	var h Histogram
 	for i := 0; i < 90; i++ {

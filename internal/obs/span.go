@@ -115,7 +115,13 @@ func NewSpanLog(now func() time.Duration, capacity int) (*SpanLog, error) {
 
 // Record stamps and appends one stage transition.
 func (l *SpanLog) Record(stream, disk int, stage Stage, off, length int64) {
-	e := SpanEvent{Stream: stream, Disk: disk, Stage: stage, At: l.now(), Offset: off, Length: length}
+	l.RecordAt(l.now(), stream, disk, stage, off, length)
+}
+
+// RecordAt appends one stage transition stamped at, a reading of the
+// log's clock the caller already holds.
+func (l *SpanLog) RecordAt(at time.Duration, stream, disk int, stage Stage, off, length int64) {
+	e := SpanEvent{Stream: stream, Disk: disk, Stage: stage, At: at, Offset: off, Length: length}
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	l.total++

@@ -79,10 +79,10 @@ func NewWindowedHistogram(now func() time.Duration, span time.Duration, slots in
 // Span returns the window length the histogram was built with.
 func (w *WindowedHistogram) Span() time.Duration { return w.span }
 
-// epochNow returns the current epoch stamp (slice index + 1, so zero
-// is reserved for never-written slots).
-func (w *WindowedHistogram) epochNow() int64 {
-	return int64(w.now())/w.width + 1
+// epochAt returns the epoch stamp of instant now (slice index + 1, so
+// zero is reserved for never-written slots).
+func (w *WindowedHistogram) epochAt(now time.Duration) int64 {
+	return int64(now)/w.width + 1
 }
 
 // Observe records one duration sample into the current slot, rotating
@@ -90,7 +90,20 @@ func (w *WindowedHistogram) epochNow() int64 {
 // slice. Negative samples clamp to zero. Nil receivers are no-ops so
 // call sites can stay unconditional.
 func (w *WindowedHistogram) Observe(d time.Duration) {
-	w.ObserveN(d, 1)
+	if w == nil {
+		return
+	}
+	w.ObserveAt(w.now(), d)
+}
+
+// ObserveAt is Observe stamped with a clock reading the caller already
+// holds (now must come from the histogram's clock), so a hot path that
+// read the clock once need not read it again.
+func (w *WindowedHistogram) ObserveAt(now, d time.Duration) {
+	if w == nil {
+		return
+	}
+	w.observe(now, d, 1)
 }
 
 // ObserveN records n identical samples in one shot — the batched form
@@ -102,10 +115,14 @@ func (w *WindowedHistogram) ObserveN(d time.Duration, n int64) {
 	if w == nil || n <= 0 {
 		return
 	}
+	w.observe(w.now(), d, n)
+}
+
+func (w *WindowedHistogram) observe(now, d time.Duration, n int64) {
 	if d < 0 {
 		d = 0
 	}
-	e := w.epochNow()
+	e := w.epochAt(now)
 	s := &w.slots[int(e%int64(len(w.slots)))]
 	for {
 		cur := s.epoch.Load()
@@ -143,7 +160,7 @@ func (w *WindowedHistogram) Snapshot() HistogramSnapshot {
 	if w == nil {
 		return s
 	}
-	nowE := w.epochNow()
+	nowE := w.epochAt(w.now())
 	minE := nowE - int64(len(w.slots)) + 1
 	for i := range w.slots {
 		sl := &w.slots[i]
@@ -169,7 +186,7 @@ func (w *WindowedHistogram) Tally() (count, zero int64) {
 	if w == nil {
 		return 0, 0
 	}
-	nowE := w.epochNow()
+	nowE := w.epochAt(w.now())
 	minE := nowE - int64(len(w.slots)) + 1
 	for i := range w.slots {
 		sl := &w.slots[i]

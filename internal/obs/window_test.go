@@ -112,6 +112,26 @@ func TestWindowedHistogramSlotReuse(t *testing.T) {
 	}
 }
 
+// TestWindowedHistogramObserveAt checks that a caller-supplied reading
+// places the sample in that instant's slot, exactly as Observe does at
+// that instant, without reading the clock.
+func TestWindowedHistogramObserveAt(t *testing.T) {
+	clk := &windowClock{}
+	w := newTestWindow(t, clk, 4*time.Second, 4)
+	w.ObserveAt(0, time.Millisecond)
+	clk.set(3 * time.Second)
+	w.ObserveAt(clk.now(), time.Millisecond)
+	if s := w.Snapshot(); s.Count != 2 {
+		t.Fatalf("count = %d, want both samples inside the window", s.Count)
+	}
+	clk.set(4 * time.Second)
+	if s := w.Snapshot(); s.Count != 1 {
+		t.Fatalf("count = %d, want the t=0 sample aged out", s.Count)
+	}
+	var nilW *WindowedHistogram
+	nilW.ObserveAt(0, time.Second) // must not panic
+}
+
 func TestHistogramSnapshotQuantileMean(t *testing.T) {
 	var s HistogramSnapshot
 	if s.Quantile(0.5) != 0 || s.Mean() != 0 {
