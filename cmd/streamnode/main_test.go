@@ -90,6 +90,7 @@ func TestDebugEndpoints(t *testing.T) {
 		"seqstream_controller_queue_depth",
 		"seqstream_netserve_request_latency_seconds_bucket",
 		"# TYPE seqstream_core_requests_total counter",
+		"# TYPE seqstream_netserve_requests_total counter",
 		// Runtime health rides on the same registry.
 		"seqstream_runtime_goroutines",
 		"seqstream_runtime_heap_inuse_bytes",

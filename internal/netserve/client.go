@@ -130,8 +130,10 @@ type ClientOptions struct {
 	WriteTimeout time.Duration
 	// Tracing stamps every request with a client-generated trace id
 	// (FlagTraced + an 8-byte wire extension), so server-side flight
-	// recordings can be correlated with this client's requests. Off by
-	// default: untraced requests still get a server-allocated id.
+	// recordings can be correlated with this client's requests and
+	// each one's node-edge events are recorded. Off by default: a
+	// server with a flight recorder then gives only a sample of the
+	// connection's requests (one in 64) an id of its own.
 	Tracing bool
 	// Payload sends a hello at dial time asking for the v2 payload
 	// extension. If the server grants it (ServerOptions.Payload),

@@ -1,6 +1,7 @@
 package netserve
 
 import (
+	"net"
 	"strings"
 	"testing"
 	"time"
@@ -25,6 +26,7 @@ func TestObsMirrorsServerStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	srv.SetObs(no)
+	srv.SetObs(no) // attaching again must not count the server twice
 
 	client, err := Dial(srv.Addr())
 	if err != nil {
@@ -34,22 +36,13 @@ func TestObsMirrorsServerStats(t *testing.T) {
 		t.Fatalf("RunStreams: %v", err)
 	}
 	client.Close()
+	sendGarbage(t, srv.Addr())
 
 	st := srv.Stats()
-	if st.Requests == 0 {
-		t.Fatal("no requests counted; workload untested")
+	if st.Requests == 0 || st.Errors == 0 {
+		t.Fatalf("stats %+v: requests or errors uncounted; workload untested", st)
 	}
-	vars := reg.Vars()
-	for name, want := range map[string]int64{
-		"seqstream_netserve_connections_total": st.Conns,
-		"seqstream_netserve_requests_total":    st.Requests,
-		"seqstream_netserve_errors_total":      st.Errors,
-		"seqstream_netserve_read_bytes_total":  st.BytesRead,
-	} {
-		if got := vars[name]; got != want {
-			t.Errorf("%s = %v, want %d (Stats)", name, got, want)
-		}
-	}
+	checkCounterFamilies(t, reg, st)
 
 	var b strings.Builder
 	if err := reg.WritePrometheus(&b); err != nil {
@@ -59,6 +52,12 @@ func TestObsMirrorsServerStats(t *testing.T) {
 	if !strings.Contains(out, "seqstream_netserve_request_latency_seconds_count") {
 		t.Error("latency histogram family missing from exposition")
 	}
+	for name := range counterFamilies(st) {
+		if line := "# TYPE " + name + " counter"; !strings.Contains(out, line) {
+			t.Errorf("exposition missing %q", line)
+		}
+	}
+	vars := reg.Vars()
 	hist, ok := vars["seqstream_netserve_request_latency_seconds"].(map[string]any)
 	if !ok {
 		t.Fatalf("histogram var missing: %v", vars)
@@ -73,6 +72,82 @@ func TestObsMirrorsServerStats(t *testing.T) {
 	if win["count"] != st.Requests {
 		t.Errorf("windowed observations = %v, want %d", win["count"], st.Requests)
 	}
+}
+
+// counterFamilies maps every netserve counter family to the Stats
+// field it reads.
+func counterFamilies(st ServerStats) map[string]int64 {
+	return map[string]int64{
+		"seqstream_netserve_connections_total":       st.Conns,
+		"seqstream_netserve_requests_total":          st.Requests,
+		"seqstream_netserve_errors_total":            st.Errors,
+		"seqstream_netserve_read_bytes_total":        st.BytesRead,
+		"seqstream_netserve_dropped_responses_total": st.DroppedResponses,
+	}
+}
+
+func checkCounterFamilies(t *testing.T, reg *obs.Registry, st ServerStats) {
+	t.Helper()
+	vars := reg.Vars()
+	for name, want := range counterFamilies(st) {
+		if got, ok := vars[name].(int64); !ok || got != want {
+			t.Errorf("%s = %#v, want %d (Stats)", name, vars[name], want)
+		}
+	}
+}
+
+// sendGarbage opens a connection that breaks the protocol with a bad
+// magic, which the server counts as an error, and waits for the server
+// to hang up.
+func sendGarbage(t *testing.T, addr string) {
+	t.Helper()
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(make([]byte, 64)); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err == nil {
+		t.Fatal("server answered a garbage frame")
+	}
+}
+
+// TestObsCountersSumAcrossServers runs two servers in sequence over one
+// registry: every counter family reports the sum of both servers'
+// Stats, not just the newest one's.
+func TestObsCountersSumAcrossServers(t *testing.T) {
+	reg := obs.NewRegistry()
+	var sum ServerStats
+	for i := 0; i < 2; i++ {
+		srv, err := NewServer(newTestNode(t), "127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.SetObs(NewObs(reg))
+		client, err := Dial(srv.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := client.RunStreams(0, 1<<30, 2+2*i, 8, 64<<10, 0); err != nil {
+			t.Fatalf("RunStreams: %v", err)
+		}
+		client.Close()
+		sendGarbage(t, srv.Addr())
+		srv.Close()
+		st := srv.Stats()
+		sum.Conns += st.Conns
+		sum.Requests += st.Requests
+		sum.Errors += st.Errors
+		sum.BytesRead += st.BytesRead
+		sum.DroppedResponses += st.DroppedResponses
+	}
+	if sum.Requests == 0 || sum.Errors != 2 {
+		t.Fatalf("stats %+v: workload untested", sum)
+	}
+	checkCounterFamilies(t, reg, sum)
 }
 
 // TestObsOpenConnectionsGauge checks the gauge rises with a live

@@ -136,7 +136,8 @@ type Request struct {
 	Offset int64
 	Length int64
 	// Trace is the request's trace id, carried on the wire only when
-	// FlagTraced is set. Zero means "server, allocate one for me".
+	// FlagTraced is set. Zero means untraced: a server with a flight
+	// recorder allocates an id for a sample of such requests only.
 	Trace uint64
 }
 

@@ -13,6 +13,7 @@ import (
 
 	"seqstream/internal/core"
 	"seqstream/internal/flight"
+	"seqstream/internal/obs"
 )
 
 // Server accepts stream clients over TCP and routes their reads
@@ -24,11 +25,13 @@ type Server struct {
 	ln     net.Listener
 	opts   ServerOptions
 
-	// mu guards the connection set only; the request path never takes
+	// mu guards the connection set and the registry the counter
+	// families were last registered on; the request path never takes
 	// it.
 	mu     sync.Mutex
 	conns  map[net.Conn]struct{} //lint:guardedby mu
 	closed bool                  //lint:guardedby mu
+	obsReg *obs.Registry         //lint:guardedby mu
 	wg     sync.WaitGroup
 
 	stats  serverCounters
@@ -38,7 +41,8 @@ type Server struct {
 
 // serverCounters is ServerStats as the connections count it: one
 // atomic per field, so no two connections share a lock on the request
-// path.
+// path. They are the only count: the /metrics counter families read
+// them at scrape time.
 type serverCounters struct {
 	conns     atomic.Int64
 	requests  atomic.Int64
@@ -51,10 +55,19 @@ type serverCounters struct {
 }
 
 // SetFlight attaches a flight recorder; nil detaches. The server
-// becomes the trace-context ingress: it adopts a client-supplied trace
-// id or allocates one, records OpIngress/OpRespond around every
-// request, and propagates the id into the core.
+// becomes the trace-context ingress: a request carries a trace id when
+// the client sent one (FlagTraced) or when it is one of its
+// connection's sampled untraced requests (the 1st, then every
+// traceSampleEvery-th), which get a fresh id. Only requests with an id
+// record OpIngress/OpRespond and core's per-request edge events, so an
+// untraced wire request costs the recorder what an untraced
+// in-process request does.
 func (s *Server) SetFlight(rec *flight.Recorder) { s.flight.Store(rec) }
+
+// traceSampleEvery is the interval at which a connection's untraced
+// requests get a server-allocated trace id while a recorder is
+// attached: the 1st, 65th, 129th, … untraced request.
+const traceSampleEvery = 64
 
 // ServerStats counts server-side activity.
 type ServerStats struct {
@@ -174,7 +187,6 @@ func (s *Server) acceptLoop() {
 		// SetObs changes mid-connection.
 		o := s.obs.Load()
 		if o != nil {
-			o.conns.Inc()
 			o.openConns.Add(1)
 		}
 		s.wg.Add(1)
@@ -201,6 +213,9 @@ type serverConn struct {
 	// pending counts submitted requests whose completion has not yet
 	// been enqueued; the reader closes responses only after it drains.
 	pending sync.WaitGroup
+	// untraced counts the untraced requests decoded while a recorder
+	// was attached, to pick the sampled ones. Owned by the reader.
+	untraced uint64
 
 	freeMu sync.Mutex
 	free   []*call //lint:guardedby freeMu
@@ -274,14 +289,7 @@ func (s *Server) handle(conn net.Conn, o *Obs) {
 // reset socket, an idle timeout).
 func (cn *serverConn) protocolError(err error) {
 	if errors.Is(err, ErrBadMagic) || errors.Is(err, ErrTooLarge) || errors.Is(err, io.ErrUnexpectedEOF) {
-		cn.countError()
-	}
-}
-
-func (cn *serverConn) countError() {
-	cn.s.stats.errors.Add(1)
-	if cn.o != nil {
-		cn.o.errors.Inc()
+		cn.s.stats.errors.Add(1)
 	}
 }
 
@@ -331,7 +339,7 @@ func (cn *serverConn) writeLoop() {
 			}
 		}
 		if broken {
-			cn.drop(int64(len(batch)))
+			cn.s.stats.dropped.Add(int64(len(batch)))
 		} else {
 			cn.s.stats.written.Add(int64(len(batch)))
 		}
@@ -343,28 +351,6 @@ func (cn *serverConn) writeLoop() {
 	}
 }
 
-// drop counts n responses discarded because the connection is dead.
-func (cn *serverConn) drop(n int64) {
-	cn.s.stats.dropped.Add(n)
-	if cn.o != nil {
-		cn.o.dropped.Add(n)
-	}
-}
-
-// send delivers a response to the writer. A full channel applies
-// backpressure to completions while the writer drains it. The writer
-// drains the channel until the reader closes it, so the send always
-// lands; the writerDone arm is a safety net that keeps a completion
-// callback from ever blocking on a channel nobody drains.
-func (cn *serverConn) send(resp Response) {
-	select {
-	case cn.responses <- resp:
-	case <-cn.writerDone:
-		resp.Release()
-		cn.drop(1)
-	}
-}
-
 // call is one request in flight between the reader loop and its
 // completion callback. Records are recycled through their connection's
 // free list and their completion funcs bound once, when a record is
@@ -373,8 +359,8 @@ func (cn *serverConn) send(resp Response) {
 type call struct {
 	cn  *serverConn // fixed for the record's life
 	req Request
-	// rec is the flight recorder snapshot for this request (nil when
-	// none is attached); tid and ingressAt are its trace context.
+	// rec is the flight recorder snapshot for a request with a trace
+	// id (nil otherwise); tid and ingressAt are its trace context.
 	rec       *flight.Recorder
 	tid       uint64
 	ingressAt time.Duration
@@ -405,23 +391,27 @@ func (cn *serverConn) newCall() *call {
 func (cn *serverConn) serve(req Request) {
 	s := cn.s
 	s.stats.requests.Add(1)
-	if cn.o != nil {
-		cn.o.requests.Inc()
-	}
 	c := cn.newCall()
 	c.req = req
 
-	// Trace ingress: adopt the client's id or allocate one, and stamp
-	// the request's entry on the disk's ring so the node-edge events
-	// sit beside the shard's scheduling events.
-	if c.rec = s.flight.Load(); c.rec != nil {
+	// Trace ingress: keep the client's id, or give a sampled untraced
+	// request a fresh one, and stamp the entry of a request with an id
+	// on the disk's ring so the node-edge events sit beside the shard's
+	// scheduling events.
+	if rec := s.flight.Load(); rec != nil {
 		c.tid = req.Trace
 		if c.tid == 0 {
-			c.tid = c.rec.NextTrace()
+			if cn.untraced%traceSampleEvery == 0 {
+				c.tid = rec.NextTrace()
+			}
+			cn.untraced++
 		}
-		c.ingressAt = c.rec.Now()
-		c.rec.RingFor(int(req.Disk)).Record(flight.Event{Trace: c.tid, Op: flight.OpIngress,
-			Disk: req.Disk, Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: c.ingressAt})
+		if c.tid != 0 {
+			c.rec = rec
+			c.ingressAt = rec.Now()
+			rec.RingFor(int(req.Disk)).Record(flight.Event{Trace: c.tid, Op: flight.OpIngress,
+				Disk: req.Disk, Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: c.ingressAt})
+		}
 	}
 
 	var err error
@@ -439,14 +429,18 @@ func (cn *serverConn) serve(req Request) {
 	}
 	if err != nil {
 		// Rejected before reaching the node: the completion will not run.
-		cn.countError()
+		s.stats.errors.Add(1)
 		c.finish(Response{ID: req.ID, Status: StatusBadRequest}, flight.ErrIO)
 	}
 }
 
-// finish ends a request: it stamps the respond event, recycles the
-// record and hands the response to the writer. It runs exactly once
-// per call, on whichever goroutine completed the request.
+// finish ends a request: it stamps the respond event of a request with
+// a trace id, recycles the record and hands the response to the
+// writer. It runs exactly once per call, on whichever goroutine
+// completed the request. The send always lands: the reader closes
+// responses only after every pending completion has sent, and the
+// writer drains the channel until that close, so a full channel only
+// applies backpressure.
 func (c *call) finish(resp Response, code uint8) {
 	if c.rec != nil {
 		now := c.rec.Now()
@@ -455,21 +449,12 @@ func (c *call) finish(resp Response, code uint8) {
 			T: now, Dur: now - c.ingressAt})
 	}
 	cn := c.cn
-	c.rec = nil
+	c.rec, c.tid = nil, 0
 	cn.freeMu.Lock()
 	cn.free = append(cn.free, c)
 	cn.freeMu.Unlock()
-	cn.send(resp)
+	cn.responses <- resp
 	cn.pending.Done()
-}
-
-// served counts a successful request's bytes (moved in either
-// direction).
-func (c *call) served() {
-	c.cn.s.stats.bytesRead.Add(c.req.Length)
-	if c.cn.o != nil {
-		c.cn.o.readBytes.Add(c.req.Length)
-	}
 }
 
 // acked is the ingest coalescer's completion for a write request.
@@ -478,7 +463,7 @@ func (c *call) acked(err error) {
 		c.finish(Response{ID: c.req.ID, Status: StatusIOError}, flight.ErrIO)
 		return
 	}
-	c.served()
+	c.cn.s.stats.bytesRead.Add(c.req.Length)
 	c.finish(Response{ID: c.req.ID, Status: StatusOK}, flight.ErrNone)
 }
 
@@ -498,11 +483,14 @@ func (c *call) complete(r core.Response) {
 		c.finish(resp, code)
 		return
 	}
-	c.served()
+	c.cn.s.stats.bytesRead.Add(c.req.Length)
 	if o := c.cn.o; o != nil {
-		o.requestLatency.Observe(r.End - r.Start)
-		o.window.Observe(r.End - r.Start)
-		o.scoreSLO(c.req.Length, r.End-r.Start)
+		// r.End is the node's clock reading for this request, so the
+		// window needs no clock read of its own.
+		lat := r.End - r.Start
+		o.requestLatency.Observe(lat)
+		o.window.ObserveAt(r.End, lat)
+		o.scoreSLO(c.req.Length, lat)
 	}
 	if c.req.Flags&FlagWantData != 0 && r.Data != nil {
 		// The frame takes over the storage node's staged buffer (no
