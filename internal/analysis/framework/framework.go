@@ -154,6 +154,22 @@ func FileImports(f *ast.File) map[string]string {
 	return out
 }
 
+// FuncAnnotation returns the first word after `//lint:<verb> ` in a
+// function's doc comment ("mu" for `//lint:holds mu`), or "".
+func FuncAnnotation(fd *ast.FuncDecl, verb string) string {
+	if fd.Doc == nil {
+		return ""
+	}
+	for _, c := range fd.Doc.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if rest, ok := strings.CutPrefix(text, "lint:"+verb+" "); ok {
+			name, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
+			return name
+		}
+	}
+	return ""
+}
+
 // Run executes analyzers over packages and returns the surviving
 // diagnostics sorted by position. //lint:allow suppression is applied
 // here so every analyzer gets it uniformly.

@@ -11,6 +11,11 @@
 // branches. Branches that diverge in lock state make the state
 // unknown, which suppresses further reports rather than guessing
 // (false positives can be silenced with //lint:allow lockcheck).
+//
+// A method whose doc comment carries `//lint:releases mu` is entered
+// with its receiver's mu held and returns with it released; a call
+// statement X.m(...) to such a method (matched by name within the
+// package) counts as X.mu.Unlock().
 package lockcheck
 
 import (
@@ -49,9 +54,19 @@ func run(pass *framework.Pass) error {
 	if !gated(pass.Pkg.Path) {
 		return nil
 	}
+	releases := make(map[string]string)
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Recv != nil {
+				if mu := framework.FuncAnnotation(fd, "releases"); mu != "" {
+					releases[fd.Name.Name] = mu
+				}
+			}
+		}
+	}
 	for _, f := range pass.Pkg.Files {
 		imports := framework.FileImports(f)
-		c := &checker{pass: pass, imports: imports}
+		c := &checker{pass: pass, imports: imports, releases: releases}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if ok && fd.Body != nil {
@@ -104,6 +119,9 @@ func (st lockState) anyHeld() string {
 type checker struct {
 	pass    *framework.Pass
 	imports map[string]string
+	// releases maps a //lint:releases method name to the receiver
+	// mutex it releases.
+	releases map[string]string
 }
 
 // stmts analyzes a statement list, mutating st, and reports whether
@@ -131,7 +149,12 @@ func (c *checker) stmt(s ast.Stmt, st lockState) bool {
 			}
 			return false
 		}
-		return c.expr(s.X, st)
+		term := c.expr(s.X, st)
+		if key := c.releasedBy(s.X); key != "" {
+			li := st.get(key)
+			li.held, li.needs = false, false
+		}
+		return term
 	case *ast.SendStmt:
 		if held := st.anyHeld(); held != "" {
 			c.pass.Reportf(s.Pos(), "channel send while %s is held; release the lock before blocking", held)
@@ -354,6 +377,25 @@ func (c *checker) expr(e ast.Expr, st lockState) bool {
 		return true
 	})
 	return terminated
+}
+
+// releasedBy returns the lock a call X.m(...) to a //lint:releases
+// method releases ("X.mu"), or "".
+func (c *checker) releasedBy(e ast.Expr) string {
+	call, ok := e.(*ast.CallExpr)
+	if !ok {
+		return ""
+	}
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	mu := c.releases[sel.Sel.Name]
+	base := exprKey(sel.X)
+	if mu == "" || base == "" {
+		return ""
+	}
+	return base + "." + mu
 }
 
 // lockCall reports whether e is a call X.Lock/RLock/Unlock/RUnlock()

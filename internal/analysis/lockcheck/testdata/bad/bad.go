@@ -69,3 +69,15 @@ func (s *server) rlockSend() {
 	s.ch <- 2 // want "channel send while rw is held"
 	rw.RUnlock()
 }
+
+//lint:releases mu
+func (s *server) unlockAndRun() {
+	s.mu.Unlock()
+}
+
+// releasesOther: the call releases other.mu, not s.mu.
+func (s *server) releasesOther(other *server) {
+	s.mu.Lock()
+	other.unlockAndRun()
+	return // want "return while s.mu is held"
+}

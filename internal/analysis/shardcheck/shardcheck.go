@@ -13,7 +13,14 @@
 //	//lint:holds mu
 //	func (sh *shard) pump(...) { ... }
 //
-// which seeds the receiver's mutex as held on entry. Values still
+// which seeds the receiver's mutex as held on entry. A method that is
+// entered holding the lock and releases it before returning declares
+//
+//	//lint:releases mu
+//	func (sh *shard) unlockAndFlush() { ... }
+//
+// which seeds the lock like holds, and a call statement sh.m(...) to
+// it drops sh.mu from the caller's held set. Values still
 // being constructed are exempt: a local built from a composite
 // literal in the same function is not yet shared, so its guarded
 // fields are free. Closures are independent flows (they usually run
@@ -63,6 +70,7 @@ func run(pass *framework.Pass) error {
 	if len(guards) == 0 {
 		return nil
 	}
+	releases := collectReleases(pass)
 	for _, f := range pass.Pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -70,18 +78,20 @@ func run(pass *framework.Pass) error {
 				continue
 			}
 			held := make(lockSet)
-			if mu := holdsAnnotation(fd); mu != "" {
-				if recv := recvName(fd); recv != "" {
-					held[recv+"."+mu] = true
-				}
+			mu := framework.FuncAnnotation(fd, "holds")
+			if mu == "" {
+				mu = framework.FuncAnnotation(fd, "releases")
 			}
-			analyzeBody(pass, guards, fd.Body, held)
+			if recv := recvName(fd); mu != "" && recv != "" {
+				held[recv+"."+mu] = true
+			}
+			analyzeBody(pass, guards, releases, fd.Body, held)
 		}
 		// Function literals run outside the lexical critical section
 		// (callbacks, goroutines): they start with nothing held.
 		ast.Inspect(f, func(n ast.Node) bool {
 			if fl, ok := n.(*ast.FuncLit); ok {
-				analyzeBody(pass, guards, fl.Body, make(lockSet))
+				analyzeBody(pass, guards, releases, fl.Body, make(lockSet))
 			}
 			return true
 		})
@@ -136,20 +146,24 @@ func guardAnnotation(field *ast.Field) string {
 	return ""
 }
 
-// holdsAnnotation extracts the mutex name from a function's
-// `//lint:holds <mu>` doc comment.
-func holdsAnnotation(fd *ast.FuncDecl) string {
-	if fd.Doc == nil {
-		return ""
-	}
-	for _, c := range fd.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if rest, ok := strings.CutPrefix(text, "lint:holds "); ok {
-			name, _, _ := strings.Cut(strings.TrimSpace(rest), " ")
-			return name
+// collectReleases maps each //lint:releases method of this package to
+// the receiver mutex it releases.
+func collectReleases(pass *framework.Pass) map[*types.Func]string {
+	out := make(map[*types.Func]string)
+	for _, f := range pass.Pkg.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil {
+				continue
+			}
+			if mu := framework.FuncAnnotation(fd, "releases"); mu != "" {
+				if fn, ok := pass.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					out[fn] = mu
+				}
+			}
 		}
 	}
-	return ""
+	return out
 }
 
 func recvName(fd *ast.FuncDecl) string {
@@ -199,9 +213,10 @@ func intersect(sets []lockSet) lockSet {
 }
 
 type bodyAnalysis struct {
-	pass   *framework.Pass
-	guards map[*types.Var]string
-	cfg    *framework.CFG
+	pass     *framework.Pass
+	guards   map[*types.Var]string
+	releases map[*types.Func]string
+	cfg      *framework.CFG
 	// fresh holds locals constructed from composite literals in this
 	// body: not yet shared, so their guarded fields are exempt.
 	fresh map[*types.Var]bool
@@ -210,10 +225,11 @@ type bodyAnalysis struct {
 	reported map[string]bool
 }
 
-func analyzeBody(pass *framework.Pass, guards map[*types.Var]string, body *ast.BlockStmt, entry lockSet) {
+func analyzeBody(pass *framework.Pass, guards map[*types.Var]string, releases map[*types.Func]string, body *ast.BlockStmt, entry lockSet) {
 	a := &bodyAnalysis{
 		pass:     pass,
 		guards:   guards,
+		releases: releases,
 		fresh:    make(map[*types.Var]bool),
 		entry:    entry,
 		reported: make(map[string]bool),
@@ -326,6 +342,13 @@ func (a *bodyAnalysis) apply(b *framework.Block, held lockSet, report bool) lock
 					}
 					continue
 				}
+				if key := a.releasedBy(call); key != "" {
+					if report {
+						a.checkNode(n, held) // receiver and args are evaluated held
+					}
+					delete(held, key)
+					continue
+				}
 			}
 		}
 		if report {
@@ -333,6 +356,25 @@ func (a *bodyAnalysis) apply(b *framework.Block, held lockSet, report bool) lock
 		}
 	}
 	return held
+}
+
+// releasedBy returns the lock a call X.m(...) to a //lint:releases
+// method releases ("X.mu"), or "".
+func (a *bodyAnalysis) releasedBy(call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	fn, ok := a.pass.Pkg.Info.Uses[sel.Sel].(*types.Func)
+	if !ok {
+		return ""
+	}
+	mu := a.releases[fn]
+	base := exprKey(sel.X)
+	if mu == "" || base == "" {
+		return ""
+	}
+	return base + "." + mu
 }
 
 // checkNode reports guarded-field selectors not covered by held.

@@ -41,7 +41,9 @@
 // except Snapshot, which locks all shards in index order for a
 // consistent cut. Completion callbacks, device I/O, and the buffer
 // pool are never invoked with a shard lock held — completions are
-// batched under the lock and delivered after it is dropped.
+// batched under the lock and delivered after it is dropped. The
+// section that queued them takes them before it unlocks, so a staged
+// hit, which queues only its own completion, holds its shard lock once.
 //
 // Device completions reach the shard through a second, smaller batch
 // layer: each completion enqueues onto a per-shard queue guarded by

@@ -103,15 +103,15 @@ type Ingest struct {
 	clock  blockdev.Clock
 
 	mu         sync.Mutex
-	byNext     map[offKey]*wstream //lint:guardedby mu
-	memUsed    int64               //lint:guardedby mu
-	stats      IngestStats         //lint:guardedby mu
-	closed     bool                //lint:guardedby mu
-	gcArmed    bool                //lint:guardedby mu
-	gcCancel   func()              //lint:guardedby mu
-	inFlight   int                 //lint:guardedby mu
-	idleSignal chan struct{}       //lint:guardedby mu
-	pendingIO  []func()            //lint:guardedby mu
+	byNext     offIndex[*wstream] //lint:guardedby mu
+	memUsed    int64              //lint:guardedby mu
+	stats      IngestStats        //lint:guardedby mu
+	closed     bool               //lint:guardedby mu
+	gcArmed    bool               //lint:guardedby mu
+	gcCancel   func()             //lint:guardedby mu
+	inFlight   int                //lint:guardedby mu
+	idleSignal chan struct{}      //lint:guardedby mu
+	pendingIO  []func()           //lint:guardedby mu
 }
 
 // NewIngest builds an ingest coalescer over a writable device.
@@ -135,7 +135,7 @@ func NewIngest(dev blockdev.Device, clock blockdev.Clock, cfg IngestConfig) (*In
 		dev:    dev,
 		writer: w,
 		clock:  clock,
-		byNext: make(map[offKey]*wstream),
+		byNext: newOffIndex[*wstream](dev.Disks()),
 	}, nil
 }
 
@@ -145,7 +145,7 @@ func (g *Ingest) Stats() IngestStats {
 	defer g.mu.Unlock()
 	st := g.stats
 	st.MemoryInUse = g.memUsed
-	st.OpenStreams = int64(len(g.byNext))
+	st.OpenStreams = int64(g.byNext.len())
 	return st
 }
 
@@ -169,8 +169,7 @@ func (g *Ingest) Write(disk int, off int64, data []byte, length int64, done func
 	g.stats.Writes++
 	g.stats.BytesAccepted += length
 
-	key := offKey{disk: disk, off: off}
-	st := g.byNext[key]
+	st := g.byNext.get(disk, off)
 	if st == nil {
 		// A write that does not continue any stream: it opens a new
 		// stream when chunk-aligned progress is plausible, and passes
@@ -183,12 +182,11 @@ func (g *Ingest) Write(disk int, off int64, data []byte, length int64, done func
 			return nil
 		}
 		st = &wstream{disk: disk, next: off}
-		g.byNext[key] = st
+		g.byNext.put(disk, off, st)
 	}
-	delete(g.byNext, offKey{disk: disk, off: st.next})
+	g.byNext.move(disk, off, off+length, st)
 	st.next = off + length
 	st.lastActive = now
-	g.byNext[offKey{disk: disk, off: st.next}] = st
 
 	// Stage into the open chunk, splitting across chunk boundaries.
 	newChunk := func() *wchunk {
@@ -259,15 +257,17 @@ func (g *Ingest) checkInvariants() {
 	invariants.Check(g.memUsed >= 0, "staged ingest memory went negative: %d", g.memUsed)
 	invariants.Check(g.inFlight >= 0, "in-flight ingest writes went negative: %d", g.inFlight)
 	var open int64
-	for key, st := range g.byNext {
-		if st.chunk != nil {
-			open += st.chunk.filled
-			invariants.Check(st.chunk.filled <= g.cfg.ChunkSize,
-				"open chunk holds %d bytes, chunk size is %d", st.chunk.filled, g.cfg.ChunkSize)
+	for disk, m := range g.byNext {
+		for off, st := range m {
+			if st.chunk != nil {
+				open += st.chunk.filled
+				invariants.Check(st.chunk.filled <= g.cfg.ChunkSize,
+					"open chunk holds %d bytes, chunk size is %d", st.chunk.filled, g.cfg.ChunkSize)
+			}
+			invariants.Check(disk == st.disk && off == st.next,
+				"ingest stream indexed under (disk=%d, off=%d) but expects (disk=%d, off=%d)",
+				disk, off, st.disk, st.next)
 		}
-		invariants.Check(key.disk == st.disk && key.off == st.next,
-			"ingest stream indexed under (disk=%d, off=%d) but expects (disk=%d, off=%d)",
-			key.disk, key.off, st.disk, st.next)
 	}
 	invariants.Check(open == g.memUsed,
 		"open chunks hold %d bytes but accounting says %d", open, g.memUsed)
@@ -361,6 +361,18 @@ func (g *Ingest) finishFlush(ch *wchunk, werr error) {
 	}
 }
 
+// flushOpen sends every stream's open chunk to the device. Caller
+// holds the lock.
+//
+//lint:holds mu
+func (g *Ingest) flushOpen() {
+	for _, m := range g.byNext {
+		for _, st := range m {
+			g.flushChunk(st)
+		}
+	}
+}
+
 // forceFlush reclaims staged memory by flushing the least-recently
 // active open chunk until `need` bytes fit. Caller holds the lock.
 //
@@ -368,12 +380,14 @@ func (g *Ingest) finishFlush(ch *wchunk, werr error) {
 func (g *Ingest) forceFlush(need int64) {
 	for g.memUsed+need > g.cfg.Memory {
 		var victim *wstream
-		for _, st := range g.byNext {
-			if st.chunk == nil || st.chunk.filled == 0 {
-				continue
-			}
-			if victim == nil || st.lastActive < victim.lastActive {
-				victim = st
+		for _, m := range g.byNext {
+			for _, st := range m {
+				if st.chunk == nil || st.chunk.filled == 0 {
+					continue
+				}
+				if victim == nil || st.lastActive < victim.lastActive {
+					victim = st
+				}
 			}
 		}
 		if victim == nil {
@@ -405,7 +419,7 @@ func (g *Ingest) flushIO() {
 //
 //lint:holds mu
 func (g *Ingest) armGC() {
-	if g.gcArmed || g.closed || len(g.byNext) == 0 {
+	if g.gcArmed || g.closed || g.byNext.len() == 0 {
 		return
 	}
 	g.gcArmed = true
@@ -420,15 +434,17 @@ func (g *Ingest) gcTick() {
 		return
 	}
 	now := g.clock.Now()
-	for key, st := range g.byNext {
-		if now-st.lastActive <= g.cfg.FlushTimeout {
-			continue
+	for _, m := range g.byNext {
+		for off, st := range m {
+			if now-st.lastActive <= g.cfg.FlushTimeout {
+				continue
+			}
+			if st.chunk != nil && st.chunk.filled > 0 {
+				g.stats.TimedFlushes++
+				g.flushChunk(st)
+			}
+			delete(m, off)
 		}
-		if st.chunk != nil && st.chunk.filled > 0 {
-			g.stats.TimedFlushes++
-			g.flushChunk(st)
-		}
-		delete(g.byNext, key)
 	}
 	g.armGC()
 	g.checkInvariants()
@@ -440,11 +456,7 @@ func (g *Ingest) gcTick() {
 // for all in-flight writes to land.
 func (g *Ingest) Flush() {
 	g.mu.Lock()
-	for _, st := range g.byNext {
-		if st.chunk != nil && st.chunk.filled > 0 {
-			g.flushChunk(st)
-		}
-	}
+	g.flushOpen()
 	done := make(chan struct{}, 1)
 	g.idleSignal = done
 	pending := g.inFlight > 0 || len(g.pendingIO) > 0
@@ -473,12 +485,10 @@ func (g *Ingest) Close() {
 		g.mu.Unlock()
 		return
 	}
-	for _, st := range g.byNext {
-		if st.chunk != nil && st.chunk.filled > 0 {
-			g.flushChunk(st)
-		}
+	g.flushOpen()
+	for _, m := range g.byNext {
+		clear(m)
 	}
-	g.byNext = make(map[offKey]*wstream)
 	g.closed = true
 	if g.gcCancel != nil {
 		g.gcCancel()
@@ -491,11 +501,7 @@ func (g *Ingest) Close() {
 // clocks, where waiting must happen by running the engine).
 func (g *Ingest) FlushAsync() {
 	g.mu.Lock()
-	for _, st := range g.byNext {
-		if st.chunk != nil && st.chunk.filled > 0 {
-			g.flushChunk(st)
-		}
-	}
+	g.flushOpen()
 	g.mu.Unlock()
 	g.flushIO()
 }

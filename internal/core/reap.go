@@ -137,8 +137,7 @@ func (sh *shard) reapCompletions() {
 				sh.onDirectDoneLocked(c.req, c.start, c.pb, c.data, c.err)
 			}
 		}
-		sh.mu.Unlock()
+		sh.unlockAndFlush()
 		sh.recycleCompletions(batch)
-		sh.flush()
 	}
 }

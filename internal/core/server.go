@@ -141,9 +141,38 @@ func (st *Stats) add(o *Stats) {
 	// atomics, not summed across shards.
 }
 
-type offKey struct {
-	disk int
-	off  int64
+// offIndex finds a stream by disk and next expected offset. Each disk
+// has its own map, made on first use, so a lookup hashes one int64
+// (the runtime's fast 64-bit-key path) instead of a two-word struct.
+type offIndex[V any] []map[int64]V
+
+func newOffIndex[V any](disks int) offIndex[V] { return make(offIndex[V], disks) }
+
+func (x offIndex[V]) get(disk int, off int64) V { return x[disk][off] }
+
+func (x offIndex[V]) put(disk int, off int64, v V) {
+	if x[disk] == nil {
+		x[disk] = make(map[int64]V)
+	}
+	x[disk][off] = v
+}
+
+// move re-keys v, already indexed under (disk, from), to (disk, to).
+func (x offIndex[V]) move(disk int, from, to int64, v V) {
+	m := x[disk]
+	delete(m, from)
+	m[to] = v
+}
+
+func (x offIndex[V]) del(disk int, off int64) { delete(x[disk], off) }
+
+// len counts the indexed values over all disks.
+func (x offIndex[V]) len() int {
+	n := 0
+	for _, m := range x {
+		n += len(m)
+	}
+	return n
 }
 
 // Server is the storage-node scheduler (§4, Figure 9): classifier →
@@ -602,8 +631,7 @@ func (s *Server) repumpPass() {
 		if !sh.closed {
 			sh.pump()
 		}
-		sh.mu.Unlock()
-		sh.flush()
+		sh.unlockAndFlush()
 		if sh.wantPump.Load() && !s.memWouldFit(s.cfg.ReadAhead) {
 			if s.evictGlobal() {
 				s.scheduleRepump()
@@ -637,8 +665,7 @@ func (s *Server) evictGlobal() bool {
 	sh := s.shards[victimShard]
 	sh.mu.Lock()
 	freed := sh.evictIdleBuffer()
-	sh.mu.Unlock()
-	sh.flush()
+	sh.unlockAndFlush()
 	return freed
 }
 

@@ -31,8 +31,9 @@ import (
 //     (Server.dispatched, Server.memUsed); a shard reserves against
 //     them with CAS loops while holding only its own lock.
 //   - Client callbacks and device calls never run under mu: they are
-//     queued in pendingIO/pendingDone under the lock and drained by
-//     flush after it is released.
+//     queued in pendingIO/pendingDone under the lock, and the section
+//     that queued them ends in unlockAndFlush, which takes them before
+//     it releases the lock and runs them after.
 //   - When a shard cannot make progress because a global budget is
 //     exhausted, it flags itself (wantPump) and returns; whichever
 //     shard releases the resource schedules a repump pass that pumps
@@ -47,38 +48,38 @@ type shard struct {
 	fr *flight.Ring
 
 	mu         sync.Mutex
-	cls        *classifier        //lint:guardedby mu
-	byExpected map[offKey]*stream //lint:guardedby mu — stream lookup by next expected client offset
-	streams    map[int]*stream    //lint:guardedby mu
-	candidates []*stream          //lint:guardedby mu
-	dispatched int                //lint:guardedby mu — dispatch slots held by this shard's streams
-	perDisk    map[int]int        //lint:guardedby mu — dispatched streams per disk
-	lastOffset map[int]int64      //lint:guardedby mu — last fetch end per disk (for policies)
-	breakers   map[int]*breaker   //lint:guardedby mu
-	memUsed    int64              //lint:guardedby mu — staged bytes owned by this shard
-	bufCount   int                //lint:guardedby mu — live buffers owned by this shard
-	stats      Stats              //lint:guardedby mu
-	gcCancel   func()             //lint:guardedby mu
-	gcArmed    bool               //lint:guardedby mu
-	closed     bool               //lint:guardedby mu
-	steerTick  int                //lint:guardedby mu — steering pick counter (every 16th probes the primary)
+	cls        *classifier       //lint:guardedby mu
+	byExpected offIndex[*stream] //lint:guardedby mu — stream lookup by next expected client offset
+	streams    map[int]*stream   //lint:guardedby mu
+	candidates []*stream         //lint:guardedby mu
+	dispatched int               //lint:guardedby mu — dispatch slots held by this shard's streams
+	perDisk    map[int]int       //lint:guardedby mu — dispatched streams per disk
+	lastOffset map[int]int64     //lint:guardedby mu — last fetch end per disk (for policies)
+	breakers   map[int]*breaker  //lint:guardedby mu
+	memUsed    int64             //lint:guardedby mu — staged bytes owned by this shard
+	bufCount   int               //lint:guardedby mu — live buffers owned by this shard
+	stats      Stats             //lint:guardedby mu
+	gcCancel   func()            //lint:guardedby mu
+	gcArmed    bool              //lint:guardedby mu
+	closed     bool              //lint:guardedby mu
+	steerTick  int               //lint:guardedby mu — steering pick counter (every 16th probes the primary)
 	// pickIdx/pickSet are pump's reused scratch: the admittable
 	// candidates' queue indexes and the slice handed to the policy.
 	pickIdx []int     //lint:guardedby mu
 	pickSet []*stream //lint:guardedby mu
 
 	// pendingIO collects device calls generated under the lock; they
-	// run after the lock is released (flush), because real devices may
-	// block in ReadAt and their completions need the lock.
-	pendingIO []func() //lint:guardedby mu
+	// run after the lock is released (unlockAndFlush), because real
+	// devices may block in ReadAt and their completions need the lock.
+	pendingIO []ioCall //lint:guardedby mu
 	// pendingDone collects staged-data completions generated under the
-	// lock; flush delivers the whole batch after the device calls, so
-	// the issue path keeps its priority (§4.2) and delivery costs no
+	// lock; the flush delivers the whole batch after the device calls,
+	// so the issue path keeps its priority (§4.2) and delivery costs no
 	// per-response timer.
 	pendingDone []doneEntry //lint:guardedby mu
-	// spareIO/spareDone recycle the drained slices so the steady-state
-	// hit path allocates nothing.
-	spareIO   []func()    //lint:guardedby mu
+	// spareIO/spareDone take back the drained slices, so a flush that
+	// finds its spares in place allocates nothing.
+	spareIO   []ioCall    //lint:guardedby mu
 	spareDone []doneEntry //lint:guardedby mu
 
 	// compMu guards the device-completion queue. It is a leaf lock:
@@ -114,8 +115,53 @@ type doneEntry struct {
 	length int64
 }
 
-// maxFlushDepth bounds nested flush calls (completion → Submit →
-// flush → …) before the remainder is deferred through the clock.
+// ioCall is one device call queued under the shard lock and issued by
+// the flush after the lock is released. A fetch, or its retry, is
+// (st, b, pb); a direct read or a speculative leg carries fn instead.
+//
+// pb is the buffer's pooled memory captured when the call is queued,
+// under the lock — NOT read from b.pbuf when the call runs: a
+// speculative leg can win between the call being queued and the flush
+// issuing it (the trigger delay floors at SpecMinDelay, which a
+// descheduled flush can overshoot), and the win swaps b.pbuf to the
+// winner's bytes while stashing these in the spec record. The late
+// primary write must land in its own (stashed) memory, never in the
+// winner's live — or worse, already recycled — buffer.
+type ioCall struct {
+	fn func()
+	st *stream
+	b  *buffer
+	pb *bufpool.Buf
+}
+
+// run issues the call: a fetch reads into its captured pooled memory
+// when it has any, through the allocating path otherwise. No lock
+// held.
+func (c *ioCall) run(sh *shard) {
+	if c.fn != nil {
+		c.fn()
+		return
+	}
+	srv, st, b := sh.srv, c.st, c.b
+	var err error
+	if c.pb != nil {
+		err = srv.rinto.ReadInto(b.readDisk, b.start, b.size(), c.pb.Data, func(data []byte, derr error) {
+			sh.onFetchDone(st, b, data, derr)
+		})
+	} else {
+		err = srv.dev.ReadAt(b.readDisk, b.start, b.size(), func(data []byte, derr error) {
+			sh.onFetchDone(st, b, data, derr)
+		})
+	}
+	if err != nil {
+		// Validated ranges make this unreachable in practice; treat it
+		// as a failed fetch so waiters are not wedged.
+		sh.onFetchDone(st, b, nil, err)
+	}
+}
+
+// maxFlushDepth bounds nested flushes (completion → Submit → flush →
+// …) before the remainder is deferred through the clock.
 const maxFlushDepth = 8
 
 func newShard(srv *Server, idx int) *shard {
@@ -124,7 +170,7 @@ func newShard(srv *Server, idx int) *shard {
 		idx:        idx,
 		fr:         srv.cfg.Flight.Ring(idx),
 		cls:        newClassifier(srv.cfg),
-		byExpected: make(map[offKey]*stream),
+		byExpected: newOffIndex[*stream](srv.dev.Disks()),
 		streams:    make(map[int]*stream),
 		perDisk:    make(map[int]int),
 		lastOffset: make(map[int]int64),
@@ -169,55 +215,79 @@ func (sh *shard) armGC() {
 	sh.gcCancel = sh.srv.clock.Schedule(sh.srv.cfg.GCPeriod, sh.gcTick)
 }
 
-// flush drains the work queued under the shard lock: device calls
-// first, then the batched client completions. Completions may submit
-// follow-up requests synchronously; past maxFlushDepth the remainder
-// is deferred through the clock so hit chains cannot grow the stack.
-// Must be called after every locked section that may queue work, with
-// the lock released.
-func (sh *shard) flush() {
+// unlockAndFlush ends a critical section that may have queued work:
+// it takes the queued device calls and completions while the caller
+// still holds the lock, releases it, and runs them — device calls
+// first, then the completions. The common staged hit queues exactly
+// its own completion and no device call; that entry moves to the
+// stack and is delivered with no further lock hold. Completions may
+// submit follow-up requests synchronously; past maxFlushDepth the
+// work is deferred through the clock so hit chains cannot grow the
+// stack. Caller holds sh.mu; it is released on return.
+//
+//lint:releases mu
+func (sh *shard) unlockAndFlush() {
+	if len(sh.pendingIO) == 0 && len(sh.pendingDone) == 0 {
+		sh.mu.Unlock()
+		return
+	}
 	if sh.flushDepth.Add(1) > maxFlushDepth {
 		sh.flushDepth.Add(-1)
+		sh.mu.Unlock()
 		sh.srv.clock.Schedule(0, sh.flushFn)
 		return
 	}
-	sh.flushWork()
+	if len(sh.pendingIO) == 0 && len(sh.pendingDone) == 1 {
+		own := [1]doneEntry{sh.pendingDone[0]}
+		sh.pendingDone[0] = doneEntry{}
+		sh.pendingDone = sh.pendingDone[:0]
+		sh.mu.Unlock()
+		sh.deliver(own[:])
+	} else {
+		sh.drain()
+	}
 	sh.flushDepth.Add(-1)
 }
 
+// flushWork is the clock-deferred flush: it drains whatever is queued
+// when it runs.
 func (sh *shard) flushWork() {
+	sh.mu.Lock()
+	sh.drain()
+}
+
+// drain takes the queued work, leaving the spares (or nil) in its
+// place, and runs it off-lock; each later hold hands the drained
+// slices back as spares and takes the next batch, until nothing is
+// queued. A slice whose spare slot a concurrent flush already refilled
+// is dropped to the garbage collector, so the next enqueue allocates.
+// Caller holds sh.mu; it is released on return.
+//
+//lint:releases mu
+func (sh *shard) drain() {
 	for {
-		sh.mu.Lock()
 		calls, batch := sh.pendingIO, sh.pendingDone
 		sh.pendingIO, sh.pendingDone = sh.spareIO, sh.spareDone
 		sh.spareIO, sh.spareDone = nil, nil
 		sh.mu.Unlock()
-		if len(calls) == 0 && len(batch) == 0 {
-			sh.recycle(calls, batch)
-			return
-		}
-		for _, fn := range calls {
-			fn()
+		for i := range calls {
+			calls[i].run(sh)
 		}
 		sh.deliver(batch)
 		clear(calls)
 		clear(batch)
-		sh.recycle(calls, batch)
+		sh.mu.Lock()
+		if sh.spareIO == nil {
+			sh.spareIO = calls[:0]
+		}
+		if sh.spareDone == nil {
+			sh.spareDone = batch[:0]
+		}
+		if len(sh.pendingIO) == 0 && len(sh.pendingDone) == 0 {
+			sh.mu.Unlock()
+			return
+		}
 	}
-}
-
-// recycle returns drained slices for reuse so steady-state flushing
-// allocates nothing. Under concurrent flushes a slice may be dropped
-// to the garbage collector instead, which is only a missed reuse.
-func (sh *shard) recycle(calls []func(), batch []doneEntry) {
-	sh.mu.Lock()
-	if sh.spareIO == nil && calls != nil {
-		sh.spareIO = calls[:0]
-	}
-	if sh.spareDone == nil && batch != nil {
-		sh.spareDone = batch[:0]
-	}
-	sh.mu.Unlock()
 }
 
 // deliver completes one batch of staged-data responses, stamped with
@@ -243,7 +313,8 @@ func (sh *shard) deliver(batch []doneEntry) {
 	}
 }
 
-// enqueueDone queues one staged-data completion for the next flush.
+// enqueueDone queues one staged-data completion for the flush that ends
+// the current critical section.
 // Caller holds sh.mu.
 //
 //lint:holds mu
@@ -293,12 +364,10 @@ func (sh *shard) submit(req Request) error {
 	}
 
 	// Stream path: the request continues a classified stream.
-	key := offKey{disk: req.Disk, off: req.Offset}
-	if st := sh.byExpected[key]; st != nil {
+	if st := sh.byExpected.get(req.Disk, req.Offset); st != nil {
 		sh.acceptStreamRequest(st, req, now)
 		sh.armGC()
-		sh.mu.Unlock()
-		sh.flush()
+		sh.unlockAndFlush()
 		return nil
 	}
 
@@ -309,8 +378,7 @@ func (sh *shard) submit(req Request) error {
 		if st := sh.lookupNearSeq(req.Disk, req.Offset); st != nil {
 			sh.acceptNearSeq(st, req, now)
 			sh.armGC()
-			sh.mu.Unlock()
-			sh.flush()
+			sh.unlockAndFlush()
 			return nil
 		}
 	}
@@ -324,8 +392,7 @@ func (sh *shard) submit(req Request) error {
 	}
 	sh.directRead(req, now)
 	sh.armGC()
-	sh.mu.Unlock()
-	sh.flush()
+	sh.unlockAndFlush()
 	return nil
 }
 
@@ -336,9 +403,9 @@ func (sh *shard) submit(req Request) error {
 //lint:holds mu
 func (sh *shard) acceptStreamRequest(st *stream, req Request, now time.Duration) {
 	// Advance the expected offset.
-	delete(sh.byExpected, offKey{disk: st.disk, off: st.nextClient})
-	st.nextClient = req.Offset + req.Length
-	sh.byExpected[offKey{disk: st.disk, off: st.nextClient}] = st
+	next := req.Offset + req.Length
+	sh.byExpected.move(st.disk, st.nextClient, next, st)
+	st.nextClient = next
 	st.lastActive = now
 
 	covered := false
@@ -572,13 +639,13 @@ func (sh *shard) scoreMiss(entry *slo.StreamLedger, disk int, stream int32, tr u
 
 // directRead services a request through the non-sequential path,
 // reading into pooled memory when the device supports it. The device
-// call itself is deferred to flush. Caller holds sh.mu.
+// call itself is deferred to the flush. Caller holds sh.mu.
 //
 //lint:holds mu
 func (sh *shard) directRead(req Request, now time.Duration) {
 	sh.stats.DirectReads++
 	srv := sh.srv
-	sh.pendingIO = append(sh.pendingIO, func() {
+	sh.pendingIO = append(sh.pendingIO, ioCall{fn: func() {
 		var pb *bufpool.Buf
 		var err error
 		if srv.rinto != nil {
@@ -598,7 +665,7 @@ func (sh *shard) directRead(req Request, now time.Duration) {
 			pb.Release()
 			srv.complete(req.Done, Response{Start: now, Direct: true, Err: err})
 		}
-	})
+	}})
 }
 
 // onDirectDone routes the direct-path device completion through the
@@ -669,8 +736,7 @@ func (sh *shard) createStream(req Request, now time.Duration) {
 	if next >= srv.dev.Capacity(req.Disk) {
 		return // detected at the very end of the disk: nothing to do
 	}
-	key := offKey{disk: req.Disk, off: next}
-	if sh.byExpected[key] != nil {
+	if sh.byExpected.get(req.Disk, next) != nil {
 		return // an existing stream already expects this offset
 	}
 	st := &stream{
@@ -682,7 +748,7 @@ func (sh *shard) createStream(req Request, now time.Duration) {
 	}
 	st.slo = srv.sloLedger.Admit(int32(st.id), st.disk, now)
 	sh.streams[st.id] = st
-	sh.byExpected[key] = st
+	sh.byExpected.put(st.disk, next, st)
 	srv.liveStreams.Add(1)
 	sh.stats.StreamsDetected++
 	srv.cfg.Obs.span(now, st.id, st.disk, obs.StageClassify, req.Offset, req.Length)
@@ -889,10 +955,12 @@ func (sh *shard) checkInvariants() {
 	invariants.Check(ndispatched == sh.dispatched,
 		"shard %d has %d streams marked dispatched but counter says %d", sh.idx, ndispatched, sh.dispatched)
 
-	for key, st := range sh.byExpected {
-		invariants.Check(key.disk == st.disk && key.off == st.nextClient,
-			"stream %d indexed under (disk=%d, off=%d) but expects (disk=%d, off=%d)",
-			st.id, key.disk, key.off, st.disk, st.nextClient)
+	for disk, m := range sh.byExpected {
+		for off, st := range m {
+			invariants.Check(disk == st.disk && off == st.nextClient,
+				"stream %d indexed under (disk=%d, off=%d) but expects (disk=%d, off=%d)",
+				st.id, disk, off, st.disk, st.nextClient)
+		}
 	}
 }
 
@@ -1018,47 +1086,12 @@ func (sh *shard) issueFetch(st *stream) {
 			Stream: int32(st.id), Offset: b.start, Length: flen, T: b.issuedAt})
 	}
 
-	// The device call runs off-lock (flush). The stream cannot issue
-	// a second fetch meanwhile: fetchInFlight stays set until the
+	// The device call runs off-lock (the flush). The stream cannot
+	// issue a second fetch meanwhile: fetchInFlight stays set until the
 	// completion path clears it.
 	sh.armFetchDeadline(st, b)
 	sh.armSpeculation(st, b)
-	sh.pendingIO = append(sh.pendingIO, sh.fetchCall(st, b))
-}
-
-// fetchCall builds the off-lock device call for a buffer's fetch (and
-// its retries): into the buffer's pooled memory when it has any,
-// through the allocating path otherwise. The pooled buffer is
-// captured here, under the lock — NOT read from b.pbuf when the call
-// runs: a speculative leg can win between the closure being queued
-// and flush executing it (the trigger delay floors at SpecMinDelay,
-// which a descheduled flush can overshoot), and the win swaps b.pbuf
-// to the winner's bytes while stashing these in the spec record. The
-// late primary write must land in its own (stashed) memory, never in
-// the winner's live — or worse, already recycled — buffer. Caller
-// holds sh.mu.
-//
-//lint:holds mu
-func (sh *shard) fetchCall(st *stream, b *buffer) func() {
-	srv := sh.srv
-	pb := b.pbuf
-	return func() {
-		var err error
-		if pb != nil {
-			err = srv.rinto.ReadInto(b.readDisk, b.start, b.size(), pb.Data, func(data []byte, derr error) {
-				sh.onFetchDone(st, b, data, derr)
-			})
-		} else {
-			err = srv.dev.ReadAt(b.readDisk, b.start, b.size(), func(data []byte, derr error) {
-				sh.onFetchDone(st, b, data, derr)
-			})
-		}
-		if err != nil {
-			// Validated ranges make this unreachable in practice;
-			// treat it as a failed fetch so waiters are not wedged.
-			sh.onFetchDone(st, b, nil, err)
-		}
-	}
+	sh.pendingIO = append(sh.pendingIO, ioCall{st: st, b: b, pb: b.pbuf})
 }
 
 // armFetchDeadline starts the FetchTimeout timer for a buffer's fetch,
@@ -1121,11 +1154,10 @@ func (sh *shard) onFetchTimeout(st *stream, b *buffer) {
 	}
 	sh.parkStream(st)
 	sh.checkInvariants()
-	sh.mu.Unlock()
 	for _, p := range failed {
 		srv.complete(p.done, Response{Start: p.start, Err: ErrFetchTimeout})
 	}
-	sh.flush()
+	sh.unlockAndFlush()
 }
 
 // scheduleRetry re-issues a transiently-failed fetch after exponential
@@ -1154,9 +1186,8 @@ func (sh *shard) scheduleRetry(st *stream, b *buffer) {
 			return
 		}
 		b.inDevice = true
-		sh.pendingIO = append(sh.pendingIO, sh.fetchCall(st, b))
-		sh.mu.Unlock()
-		sh.flush()
+		sh.pendingIO = append(sh.pendingIO, ioCall{st: st, b: b, pb: b.pbuf})
+		sh.unlockAndFlush()
 	})
 }
 
@@ -1451,7 +1482,7 @@ func (sh *shard) maybeRetire(st *stream) {
 		return
 	}
 	delete(sh.streams, st.id)
-	delete(sh.byExpected, offKey{disk: st.disk, off: st.nextClient})
+	sh.byExpected.del(st.disk, st.nextClient)
 	sh.srv.sloLedger.Retire(st.slo)
 	sh.srv.liveStreams.Add(-1)
 	sh.stats.StreamsRetired++
@@ -1517,7 +1548,7 @@ func (sh *shard) gcTick() {
 				srv.liveCands.Add(-1)
 			}
 			delete(sh.streams, id)
-			delete(sh.byExpected, offKey{disk: st.disk, off: st.nextClient})
+			sh.byExpected.del(st.disk, st.nextClient)
 			srv.sloLedger.Retire(st.slo)
 			srv.liveStreams.Add(-1)
 			sh.stats.StreamsGCed++
@@ -1534,6 +1565,5 @@ func (sh *shard) gcTick() {
 	sh.pump()
 	sh.armGC()
 	sh.checkInvariants()
-	sh.mu.Unlock()
-	sh.flush()
+	sh.unlockAndFlush()
 }

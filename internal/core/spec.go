@@ -247,9 +247,8 @@ func (sh *shard) onSpecTimer(st *stream, b *buffer) {
 		sh.fr.Record(flight.Event{Op: flight.OpSpeculate, Disk: uint16(b.readDisk),
 			Stream: int32(st.id), Offset: b.start, Length: b.size(), T: now, Dur: now - b.issuedAt})
 	}
-	sh.pendingIO = append(sh.pendingIO, sh.specCall(st, b, sp))
-	sh.mu.Unlock()
-	sh.flush()
+	sh.pendingIO = append(sh.pendingIO, ioCall{fn: sh.specCall(st, b, sp)})
+	sh.unlockAndFlush()
 }
 
 // pickSpecDisk chooses the replica a speculative duplicate goes to:
@@ -284,14 +283,14 @@ func (sh *shard) pickSpecDisk(b *buffer) int {
 }
 
 // specCall builds the off-lock device call for a speculative leg,
-// mirroring fetchCall. Caller holds sh.mu.
+// mirroring a fetch's ioCall. Caller holds sh.mu.
 //
 //lint:holds mu
 func (sh *shard) specCall(st *stream, b *buffer, sp *specFetch) func() {
 	srv := sh.srv
-	// Captured under the lock, like fetchCall's: sp.pbuf is repointed
-	// at the primary's stashed bytes when this leg wins, and the
-	// device write must keep targeting the duplicate's own memory.
+	// Captured under the lock, like a fetch's ioCall.pb: sp.pbuf is
+	// repointed at the primary's stashed bytes when this leg wins, and
+	// the device write must keep targeting the duplicate's own memory.
 	pb := sp.pbuf
 	return func() {
 		var err error
@@ -336,8 +335,7 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 			b.spec = nil
 		}
 		sh.noteReadOutcome(sp.disk, derr == nil, now)
-		sh.mu.Unlock()
-		sh.flush()
+		sh.unlockAndFlush()
 		return
 	}
 	if derr != nil {
@@ -347,8 +345,7 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 		sh.noteReadOutcome(sp.disk, false, now)
 		if !b.primaryFailed {
 			// The primary leg is still in flight; it decides.
-			sh.mu.Unlock()
-			sh.flush()
+			sh.unlockAndFlush()
 			return
 		}
 		// Both legs failed terminally: fail the waiters like the plain
@@ -369,11 +366,10 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 		sh.freeBuffer(st, b, false)
 		sh.parkStream(st)
 		sh.checkInvariants()
-		sh.mu.Unlock()
 		for _, p := range failed {
 			srv.complete(p.done, Response{Start: p.start, Err: derr})
 		}
-		sh.flush()
+		sh.unlockAndFlush()
 		return
 	}
 
@@ -444,8 +440,7 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 	}
 	sh.drainQueue(st, now)
 	sh.checkInvariants()
-	sh.mu.Unlock()
-	sh.flush()
+	sh.unlockAndFlush()
 }
 
 // noteReadOutcome books a device read's success or failure with the
