@@ -1,7 +1,6 @@
 package netserve
 
 import (
-	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -22,20 +21,15 @@ import (
 // keeping a handle for each pending request.
 type Client struct {
 	conn net.Conn
-	// dec decodes the read side through a buffered reader whose every
-	// refill flushes the outgoing buffer first (flushReader). Only the
-	// read loop touches it (the handshake reply is read before the
-	// loop starts).
-	dec  decoder
 	rec  *metrics.Recorder
 	opts ClientOptions
 	// traceBase seeds the per-request trace ids when Tracing is on.
 	traceBase uint64
 	// payload records that the server granted FeatPayload: responses
-	// arrive in v2 frames and payloads land in pooled receive memory
-	// the consumer must Release.
+	// arrive in v2 frames and payloads stay in the pooled receive
+	// chunk they arrived in, which the consumer must Release.
 	payload bool
-	// pool recycles receive buffers in payload mode (nil otherwise).
+	// pool recycles the read loop's receive chunks.
 	pool *bufpool.Pool
 
 	mu           sync.Mutex
@@ -60,7 +54,7 @@ type Client struct {
 }
 
 // flushReader is the connection's read side as the read loop's
-// bufio.Reader sees it. A socket read is the only place the read loop
+// receiver sees it. A socket read is the only place the read loop
 // can block, so that is where the requests its callbacks issued leave:
 // every Read flushes the outgoing buffer and lowers the cork first,
 // and raises the cork again once it has bytes to dispatch.
@@ -137,9 +131,11 @@ type ClientOptions struct {
 	Tracing bool
 	// Payload sends a hello at dial time asking for the v2 payload
 	// extension. If the server grants it (ServerOptions.Payload),
-	// read responses carry the data in v2 frames and land in pooled
-	// receive memory — consumers must Release each response after its
-	// last use of Data (RunStreams does this itself). If the server
+	// read responses carry the data in v2 frames, handed out in place
+	// in the pooled receive chunk they arrived in — consumers must
+	// Release each response after its last use of Data (RunStreams
+	// does this itself). A response held unreleased pins its whole
+	// chunk, up to 1 MiB. If the server
 	// declines, the client falls back to data-less v1 silently; check
 	// Payload() for the negotiated outcome.
 	Payload bool
@@ -188,10 +184,10 @@ func newClient(conn net.Conn, opts ClientOptions) (*Client, error) {
 		conn:       conn,
 		rec:        metrics.NewRecorder(),
 		opts:       opts,
+		pool:       bufpool.New(),
 		pending:    make(map[uint64]pendingHandle),
 		readerDone: make(chan struct{}),
 	}
-	c.dec.r = bufio.NewReaderSize(flushReader{c}, 64<<10)
 	if opts.Tracing {
 		c.traceBase = splitmix64(uint64(time.Now().UnixNano()))
 	}
@@ -205,14 +201,13 @@ func newClient(conn net.Conn, opts ClientOptions) (*Client, error) {
 		if err := WriteHello(conn, Hello{Version: ProtoV2, Feats: FeatPayload}); err != nil {
 			return nil, fmt.Errorf("netserve: handshake: %w", err)
 		}
-		hello, err := ReadHello(c.dec.r)
+		// The server sends nothing after its hello until a request
+		// arrives, so reading exactly the hello leaves no bytes behind.
+		hello, err := ReadHello(flushReader{c})
 		if err != nil {
 			return nil, fmt.Errorf("netserve: handshake: %w", err)
 		}
-		if hello.Version >= ProtoV2 && hello.Feats&FeatPayload != 0 {
-			c.payload = true
-			c.pool = bufpool.New()
-		}
+		c.payload = hello.Version >= ProtoV2 && hello.Feats&FeatPayload != 0
 	}
 	go c.readLoop()
 	return c, nil
@@ -290,9 +285,10 @@ func (c *Client) Close() error {
 // when Go returns, unless Go was called from a done callback (or while
 // one is running): those frames leave together, in one write, before
 // the read loop next waits for the server. Go returns an error only if
-// done will not run. In payload mode the response may hold pooled
-// receive memory: done owns it and must call resp.Release after its
-// last use of Data (a nil done releases automatically).
+// done will not run. In payload mode the response may hold a
+// reference to a pooled receive chunk: done owns it and must call
+// resp.Release after its last use of Data (a nil done releases
+// automatically).
 func (c *Client) Go(stream int, disk uint16, off, length int64, flags uint16,
 	done func(Response, time.Duration)) error {
 	c.mu.Lock()
@@ -398,11 +394,20 @@ func (c *Client) Err() error {
 	}
 }
 
+// readLoop decodes responses and completes their handles until the
+// connection fails. Its receive chunk is released on the way out,
+// before Close returns.
 func (c *Client) readLoop() {
 	defer close(c.readerDone)
+	size := dataLessChunk
+	if c.payload {
+		size = maxBatchBytes
+	}
+	rx := newReceiver(flushReader{c}, c.pool, c.payload, size)
+	defer rx.close()
 	for {
-		resp, err := c.dec.readResponse(c.payload, c.pool)
-		if err != nil {
+		var resp Response
+		if err := rx.next(&resp); err != nil {
 			c.failPending(err)
 			return
 		}
@@ -418,7 +423,7 @@ func (c *Client) readLoop() {
 		c.mu.Unlock()
 		if !ok {
 			// Expired or disconnect-drained before the response landed:
-			// nobody will see it, so recycle the receive buffer here.
+			// nobody will see it, so drop its chunk reference here.
 			resp.Release()
 			continue
 		}
@@ -470,7 +475,7 @@ func (c *Client) RunStreams(disk uint16, capacity int64, streams, requests int,
 // non-nil, check runs on every successful response — while its
 // payload (if any) is still valid — and a non-nil error stops that
 // stream and is reported. RunStreamsFunc releases each response's
-// pooled receive memory itself, after the check.
+// receive chunk reference itself, after the check.
 func (c *Client) RunStreamsFunc(disk uint16, capacity int64, streams, requests int,
 	reqSize int64, flags uint16, check func(stream int, resp *Response) error) error {
 	if streams <= 0 || requests <= 0 || reqSize <= 0 {

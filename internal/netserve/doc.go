@@ -60,8 +60,13 @@
 // staged buffers the wire can pin, and past that completions block
 // until the socket moves or dies.
 //
-// On the client side, payload responses borrow pooled receive memory;
-// a done callback owns its Response and must call Release after its
-// last use of Data (RunStreams/RunStreamsFunc release internally,
-// after the optional per-response check).
+// On the client side the read loop reads the socket into a pooled
+// receive chunk (one server batch, 1 MiB, on a payload connection;
+// 64 KiB otherwise) and decodes frames in place. A payload response's
+// Data is a slice of that chunk and the response holds a reference to
+// it: a done callback owns its Response and must call Release after
+// its last use of Data (RunStreams/RunStreamsFunc release internally,
+// after the optional per-response check). A response held unreleased
+// pins its whole chunk, up to 1 MiB, not just its own bytes. The read
+// loop releases its own chunk when it exits.
 package netserve

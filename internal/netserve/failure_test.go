@@ -203,9 +203,9 @@ func TestServerWriteTimeoutShedsDeadPeer(t *testing.T) {
 	if tc, ok := conn.(*net.TCPConn); ok {
 		tc.SetReadBuffer(4096)
 	}
-	// Enough responses to overflow the socket buffers AND the response
-	// channel's 128-entry slack, so completions reach the blocking
-	// send and must be shed when the writer exits.
+	// Enough responses to overflow the socket buffers AND the wire's
+	// slack — 64 queued frames plus one batch of 64 — so completions
+	// reach the blocking send and must be shed when the writer exits.
 	for i := 0; i < 400; i++ {
 		req := Request{
 			ID:     uint64(i),

@@ -471,3 +471,63 @@ func TestLoopbackRoundTripAllocs(t *testing.T) {
 		t.Errorf("wire round trip allocates %.3f per request, the core alone %.3f", wire, inProcess)
 	}
 }
+
+// TestLoopbackPayloadRoundTripAllocs is TestLoopbackRoundTripAllocs on
+// a payload connection: the staged bytes leave in a v2 frame, land in
+// the client's receive chunk and are handed to the callback in place,
+// and none of that allocates beyond what the data-less wire may.
+func TestLoopbackPayloadRoundTripAllocs(t *testing.T) {
+	const (
+		req  = 64 << 10
+		runs = 2000
+	)
+	cfg := func(c *core.Config) {
+		c.GCPeriod = time.Hour
+		c.EvictIdle = time.Hour
+	}
+	node, srv := payloadNodeTuned(t, 1, 64<<20, 1<<20, ServerOptions{Payload: true}, cfg)
+	c, err := DialOpts(srv.Addr(), ClientOptions{Payload: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if !c.Payload() {
+		t.Fatal("payload not negotiated")
+	}
+
+	ch := make(chan struct{}, 1)
+	var off int64
+	wireDone := func(r Response, _ time.Duration) {
+		if r.Status != StatusOK || len(r.Data) != req {
+			t.Errorf("status %d, %d bytes", r.Status, len(r.Data))
+		}
+		r.Release()
+		ch <- struct{}{}
+	}
+	wire := mallocsPer(runs, func() {
+		if err := c.Go(0, 0, off, req, FlagWantData, wireDone); err != nil {
+			t.Fatal(err)
+		}
+		off += req
+		<-ch
+	})
+
+	coreDone := func(r core.Response) {
+		r.Release()
+		ch <- struct{}{}
+	}
+	off = 512 << 20
+	inProcess := mallocsPer(runs, func() {
+		if err := node.Submit(core.Request{Disk: 0, Offset: off, Length: req, Done: coreDone}); err != nil {
+			t.Fatal(err)
+		}
+		off += req
+		<-ch
+	})
+	t.Logf("allocations per request: %.3f over the payload wire, %.3f in-process", wire, inProcess)
+	// The data-less wire's bound: the core's own share plus the
+	// runtime's for the two goroutines that park and wake per request.
+	if wire > inProcess+0.1 {
+		t.Errorf("payload round trip allocates %.3f per request, the core alone %.3f", wire, inProcess)
+	}
+}

@@ -114,9 +114,10 @@ func FuzzReadResponse(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) { fuzzResponse(t, data, false, nil) })
 }
 
-// FuzzReadResponseV2 decodes into pooled receive memory, as a
-// payload-mode client does, and checks the pool's books afterwards:
-// every error path must have released what it took.
+// FuzzReadResponseV2 decodes v2 frames through the scratch-array
+// decoder into pooled memory and checks the pool's books afterwards:
+// every error path must have released what it took. The client's
+// in-place receiver has its own target, FuzzReadResponseSplit.
 func FuzzReadResponseV2(f *testing.F) {
 	responseSeeds(f, true)
 	pool := bufpool.New()
@@ -124,6 +125,73 @@ func FuzzReadResponseV2(f *testing.F) {
 		fuzzResponse(t, data, true, pool)
 		if out := pool.Stats().CheckedOut; out != 0 {
 			t.Fatalf("%d receive buffers still checked out", out)
+		}
+	})
+}
+
+// FuzzReadResponseSplit runs a client's receiver over a whole stream
+// of frames, handed to it in read sizes the input also chooses (each
+// byte of cuts is one read's size less one, cycling), with a chunk
+// small enough for frames to straddle its end and payloads to outgrow
+// it. However the stream is cut, every frame it accepts re-encodes to
+// exactly the bytes it consumed, and closing the receiver with every
+// response released leaves no chunk checked out.
+func FuzzReadResponseSplit(f *testing.F) {
+	for _, v2 := range []bool{false, true} {
+		var stream []byte
+		for _, resp := range []Response{
+			{ID: 1, Status: StatusOK, Data: []byte("payload")},
+			{ID: 2, Status: StatusIOError},
+			{ID: 3, Flags: RespPayload, Offset: 1 << 40, Data: bytes.Repeat([]byte{0xa5}, testChunk-100)},
+			{ID: 4, Flags: RespPayload, Offset: 8192, Data: bytes.Repeat([]byte{0x3c}, 2*testChunk)},
+			{ID: 5, Flags: RespPayload, Offset: -512},
+		} {
+			if !v2 {
+				resp.Flags, resp.Offset = 0, 0
+			}
+			stream = append(stream, refResponseFrame(v2, resp)...)
+		}
+		for _, cuts := range [][]byte{nil, {0}, {6, 200, 2}, {255, 19, 27}} {
+			f.Add(stream, cuts, v2)
+			f.Add(stream[:len(stream)-1], cuts, v2)
+		}
+	}
+	pool := bufpool.New()
+	f.Fuzz(func(t *testing.T, data, cuts []byte, v2 bool) {
+		sizes := []int{len(data) + 1}
+		if len(cuts) > 0 {
+			sizes = sizes[:0]
+			for _, c := range cuts {
+				sizes = append(sizes, int(c)+1)
+			}
+		}
+		src := bytes.NewReader(data)
+		rx := newReceiver(&choppedReader{r: src, sizes: sizes}, pool, v2, testChunk)
+		for start := 0; ; {
+			var resp Response
+			if err := rx.next(&resp); err != nil {
+				break
+			}
+			if len(resp.Data) > MaxLength {
+				t.Fatalf("accepted %d payload bytes", len(resp.Data))
+			}
+			if !v2 && (resp.Flags != 0 || resp.Offset != 0) {
+				t.Fatalf("v1 frame decoded v2 fields: %+v", resp)
+			}
+			end := len(data) - src.Len() - (rx.w - rx.r)
+			var enc bytes.Buffer
+			if err := NewResponseWriter(&enc, v2).WriteResponse(&resp); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(enc.Bytes(), data[start:end]) {
+				t.Fatalf("re-encoded %d bytes differ from the %d consumed", enc.Len(), end-start)
+			}
+			start = end
+			resp.Release()
+		}
+		rx.close()
+		if out := pool.Stats().CheckedOut; out != 0 {
+			t.Fatalf("%d receive chunks still checked out", out)
 		}
 	})
 }

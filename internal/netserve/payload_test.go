@@ -212,12 +212,13 @@ func TestSlowReaderBackpressure(t *testing.T) {
 
 	waitWedged(srv)
 
-	// The budget: M of staging, plus the responses the channel (128)
-	// and one in-flight write can pin. Each response retains its whole
-	// staging buffer (R), but R/req consecutive responses share one,
-	// so the wire can hold at most ~(128+1)/(R/req)+1 detached buffers
-	// — call it 40·R with generous slack. Unbounded checkout would
-	// blow past this on its way to 64 MiB.
+	// The budget: M of staging, plus the responses the channel (64
+	// frames) and one in-flight batch (64 more) can pin. Each response
+	// retains its whole staging buffer (R), but R/req consecutive
+	// responses share one, so the wire can hold at most
+	// ~(64+64)/(R/req)+1 detached buffers — call it 40·R with generous
+	// slack. Unbounded checkout would blow past this on its way to
+	// 64 MiB.
 	const budget = memory + 40*ra
 	if peak := node.Pool().Stats().PeakBytesOut; peak > budget {
 		t.Fatalf("slow reader pinned %d pooled bytes (budget %d): wire backpressure is not bounding checkouts", peak, budget)

@@ -155,8 +155,9 @@ type Response struct {
 
 	// buf is the pooled memory backing Data: on the server the staged
 	// buffer detached from the core response (core.Response.TakeBuf),
-	// on a payload-mode client the receive buffer. Release drops the
-	// single reference this response owns.
+	// on a payload-mode client the receive chunk the frame arrived in,
+	// which other responses may share. Release drops the single
+	// reference this response owns.
 	buf *bufpool.Buf
 	// release recycles non-pooled backing memory (nil otherwise);
 	// retained so custom backends that hand out closures keep working.
@@ -166,8 +167,9 @@ type Response struct {
 // Release returns the memory backing Data to its pool, if any. The
 // server's writer calls it after the vectored write has drained the
 // payload onto the wire; payload-mode clients call it after their
-// last use of Data. It is safe to call more than once and on
-// responses with no pooled payload.
+// last use of Data. Until then a client response pins its whole
+// receive chunk, up to 1 MiB, not just its own bytes. It is safe to
+// call more than once and on responses with no pooled payload.
 func (r *Response) Release() {
 	r.buf.Release()
 	r.buf = nil
@@ -262,53 +264,68 @@ func (d *decoder) readRequest() (Request, error) {
 	return req, nil
 }
 
+// respFixedSize is the length of a response frame's fixed header: the
+// v1 header, or on a negotiated connection the v2 one with its flags
+// word.
+func respFixedSize(v2 bool) int {
+	if v2 {
+		return respV2HeaderSize
+	}
+	return respHeaderSize
+}
+
+// parseResponse decodes the fixed response header in b, which holds
+// exactly respFixedSize(v2) bytes, and returns the payload length it
+// announces. It is the one response-header parser: the decoder runs it
+// on its scratch array, a client's receiver on the bytes where they
+// landed. The caller reads the 8-byte offset echo that follows when
+// resp.Flags has RespPayload.
+func parseResponse(b []byte, v2 bool) (resp Response, n int, err error) {
+	if binary.LittleEndian.Uint32(b[0:]) != Magic {
+		return Response{}, 0, ErrBadMagic
+	}
+	resp.ID = binary.LittleEndian.Uint64(b[4:])
+	resp.Status = binary.LittleEndian.Uint32(b[12:])
+	if v2 {
+		resp.Flags = binary.LittleEndian.Uint32(b[16:])
+	}
+	length := binary.LittleEndian.Uint32(b[len(b)-4:])
+	if length > MaxLength {
+		return Response{}, 0, ErrTooLarge
+	}
+	return resp, int(length), nil
+}
+
 // readResponse decodes a response frame: v2 framing (flags word, and
 // the offset echo on RespPayload frames) on a negotiated connection,
 // v1 otherwise. When a pool is supplied the payload lands in pooled
 // receive memory that the consumer owns via Response.Release; nil
 // falls back to plain allocation.
 func (d *decoder) readResponse(v2 bool, pool *bufpool.Pool) (Response, error) {
-	size := respHeaderSize
-	if v2 {
-		size = respV2HeaderSize
-	}
+	size := respFixedSize(v2)
 	if err := d.fill(0, size); err != nil {
 		return Response{}, err
 	}
-	b := d.hdr[:]
-	if binary.LittleEndian.Uint32(b[0:]) != Magic {
-		return Response{}, ErrBadMagic
-	}
-	resp := Response{
-		ID:     binary.LittleEndian.Uint64(b[4:]),
-		Status: binary.LittleEndian.Uint32(b[12:]),
-	}
-	if v2 {
-		resp.Flags = binary.LittleEndian.Uint32(b[16:])
-	}
-	n := int64(binary.LittleEndian.Uint32(b[size-4:]))
-	if n > MaxLength {
-		return Response{}, ErrTooLarge
+	resp, n, err := parseResponse(d.hdr[:size], v2)
+	if err != nil {
+		return Response{}, err
 	}
 	if resp.Flags&RespPayload != 0 {
 		if err := d.fill(size, 8); err != nil {
 			return Response{}, fmt.Errorf("netserve: offset echo: %w", err)
 		}
-		resp.Offset = int64(binary.LittleEndian.Uint64(b[size:]))
+		resp.Offset = int64(binary.LittleEndian.Uint64(d.hdr[size:]))
 	}
 	if n > 0 {
 		if pool != nil {
-			resp.buf = pool.Get(n)
+			resp.buf = pool.Get(int64(n))
 			resp.Data = resp.buf.Data
 		} else {
 			resp.Data = make([]byte, n)
 		}
 		if _, err := io.ReadFull(d.r, resp.Data); err != nil {
 			resp.Release()
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return Response{}, fmt.Errorf("netserve: payload: %w", err)
+			return Response{}, fmt.Errorf("netserve: payload: %w", midFrame(err))
 		}
 	}
 	return resp, nil
