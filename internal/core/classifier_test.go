@@ -109,37 +109,65 @@ func TestClassifierGC(t *testing.T) {
 	cfg := classifierConfig()
 	c := newClassifier(cfg)
 	bs := cfg.BlockSize
+	span := bs * int64(cfg.RegionBlocks)
+	// A region touched at one block is a singleton, at two a heap
+	// bitmap; both expire at the same cutoff.
 	c.observe(0, 0, bs, 0)
-	c.observe(0, 100*bs*int64(cfg.RegionBlocks), bs, 5*time.Second)
-	if c.regionCount() != 2 {
-		t.Fatalf("regions = %d", c.regionCount())
+	c.observe(0, 100*span, bs, 5*time.Second)
+	c.observe(0, 200*span, 2*bs, 0)
+	c.observe(0, 300*span, 2*bs, 5*time.Second)
+	if c.regionCount() != 4 || len(c.regions) != 2 || c.singletons != 2 {
+		t.Fatalf("regions = %d (%d bitmaps, %d singletons), want 4 (2, 2)",
+			c.regionCount(), len(c.regions), c.singletons)
 	}
 	freed := c.gc(time.Second)
-	if freed != 1 || c.regionCount() != 1 {
-		t.Errorf("gc freed %d, regions now %d; want 1/1", freed, c.regionCount())
+	if freed != 2 || c.regionCount() != 2 || len(c.regions) != 1 || c.singletons != 1 {
+		t.Errorf("gc freed %d, regions now %d (%d bitmaps, %d singletons); want 2, 2 (1, 1)",
+			freed, c.regionCount(), len(c.regions), c.singletons)
 	}
-	if c.memoryBytes() <= 0 {
-		t.Error("memoryBytes should be positive with a live region")
+	if bitmapBytes(c) <= 0 {
+		t.Error("a live two-block region should hold a bitmap")
 	}
+}
+
+// bitmapBytes is the heap bitmap memory of c's regions; the singleton
+// table is a fixed part of the classifier itself.
+func bitmapBytes(c *classifier) int64 {
+	var n int64
+	for _, r := range c.regions {
+		n += int64(len(r.bits)) * 8
+	}
+	return n
 }
 
 func TestClassifierBitmapMemoryModest(t *testing.T) {
 	// The design point of §4.1: dynamically allocated small bitmaps keep
 	// memory proportional to the active footprint. 1000 streams touch
-	// 1000 regions; each region is RegionBlocks bits.
+	// two blocks of 1000 regions; each region is RegionBlocks bits.
+	// 1000 one-off touches elsewhere allocate no bitmap at all.
 	cfg := classifierConfig()
 	c := newClassifier(cfg)
 	bs := cfg.BlockSize
 	span := bs * int64(cfg.RegionBlocks)
 	for i := int64(0); i < 1000; i++ {
 		c.observe(0, i*span, bs, 0)
+		c.observe(0, i*span+bs, bs, 0)
 	}
 	perRegion := int64((cfg.RegionBlocks+63)/64) * 8
-	if got := c.memoryBytes(); got != 1000*perRegion {
-		t.Errorf("memoryBytes = %d, want %d", got, 1000*perRegion)
+	if got := bitmapBytes(c); got != 1000*perRegion {
+		t.Errorf("bitmap memory = %d, want %d", got, 1000*perRegion)
 	}
-	if c.memoryBytes() > 1<<20 {
-		t.Errorf("bitmap memory %d exceeds 1MB for 1000 regions", c.memoryBytes())
+	if bitmapBytes(c) > 1<<20 {
+		t.Errorf("bitmap memory %d exceeds 1MB for 1000 regions", bitmapBytes(c))
+	}
+	for i := int64(1000); i < 2000; i++ {
+		c.observe(0, i*span, bs, 0)
+	}
+	if got := bitmapBytes(c); got != 1000*perRegion {
+		t.Errorf("one-off touches grew bitmap memory to %d, want %d", got, 1000*perRegion)
+	}
+	if c.singletons > singletonSets*singletonWays {
+		t.Errorf("%d singletons exceed the table's %d ways", c.singletons, singletonSets*singletonWays)
 	}
 }
 

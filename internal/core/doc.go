@@ -33,7 +33,9 @@
 // blocked shards one lock at a time. When a shard starves on memory
 // with no local victim, the pass runs a two-phase cross-shard
 // eviction: scan every shard's LRU candidate under its own lock, then
-// re-lock only the chosen victim's shard to evict.
+// re-lock only the chosen victim's shard to evict. A shard whose idle
+// floor (a lower bound on its buffers' last activity) shows nothing
+// idle for EvictIdle answers without a scan.
 //
 // # Locking rules
 //
@@ -44,6 +46,9 @@
 // batched under the lock and delivered after it is dropped. The
 // section that queued them takes them before it unlocks, so a staged
 // hit, which queues only its own completion, holds its shard lock once.
+// Direct reads and failed requests complete through the same batch,
+// never through the clock: on a device that completes inline, a
+// direct read is done when Submit returns.
 //
 // Device completions reach the shard through a second, smaller batch
 // layer: each completion enqueues onto a per-shard queue guarded by

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"time"
-
-	"seqstream/internal/bufpool"
-	"seqstream/internal/flight"
-)
+import "seqstream/internal/flight"
 
 // Batched device-completion reaping.
 //
@@ -27,28 +22,15 @@ import (
 // boundary only changes when the lock is released, not the order
 // completions are observed in.
 
-// completion is one queued device completion awaiting the reaper.
+// completion is one queued device completion awaiting the reaper: a
+// direct read (dc) or a fetch (st, b).
 type completion struct {
-	kind uint8 // compFetch or compDirect
-
-	// Fetch completions.
-	st *stream
-	b  *buffer
-
-	// Direct-read completions.
-	req   Request
-	start time.Duration
-	pb    *bufpool.Buf
-
-	// Shared result.
+	dc   *directCall
+	st   *stream
+	b    *buffer
 	data []byte
 	err  error
 }
-
-const (
-	compFetch = uint8(iota)
-	compDirect
-)
 
 // completionBatch bounds how many queued completions the reaper
 // processes per shard-lock hold.
@@ -130,11 +112,10 @@ func (sh *shard) reapCompletions() {
 		}
 		for i := range batch {
 			c := &batch[i]
-			switch c.kind {
-			case compFetch:
+			if c.dc != nil {
+				sh.onDirectDoneLocked(c.dc, c.data, c.err)
+			} else {
 				sh.onFetchDoneLocked(c.st, c.b, c.data, c.err)
-			case compDirect:
-				sh.onDirectDoneLocked(c.req, c.start, c.pb, c.data, c.err)
 			}
 		}
 		sh.unlockAndFlush()

@@ -24,7 +24,9 @@ type Request struct {
 	// the flight-recorder events the request generates.
 	Trace uint64
 	// Done receives the response. It is never invoked while a shard
-	// lock is held; it may submit follow-up requests.
+	// lock is held; it may submit follow-up requests. It may run before
+	// Submit returns: a staged hit, a fast-failed request, or a direct
+	// read on a device that completes inline.
 	Done func(Response)
 }
 
@@ -524,19 +526,6 @@ func (s *Server) traceEvent(e trace.Event) {
 	if s.cfg.Trace != nil {
 		s.cfg.Trace.Record(e)
 	}
-}
-
-// complete delivers a single response off-lock through the clock.
-// Staged-buffer deliveries go through the per-shard batch instead
-// (shard.deliver); this path serves the direct reads and failure
-// completions that occur one at a time.
-func (s *Server) complete(done func(Response), resp Response) {
-	if done == nil {
-		resp.Release()
-		return
-	}
-	resp.End = s.clock.Now()
-	s.clock.Schedule(0, func() { done(resp) })
 }
 
 // --- global budget accounting -------------------------------------

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -67,6 +68,13 @@ type shard struct {
 	// candidates' queue indexes and the slice handed to the policy.
 	pickIdx []int     //lint:guardedby mu
 	pickSet []*stream //lint:guardedby mu
+	// idleFloor is a lower bound on every live buffer's lastActive:
+	// issueFetch lowers it, touches and frees only raise the true
+	// minimum, and an eviction scan recomputes it exactly. While
+	// now-EvictIdle is below it no buffer can be idle enough to evict,
+	// so findEvictVictim answers without a scan.
+	idleFloor  time.Duration //lint:guardedby mu
+	evictScans int64         //lint:guardedby mu — full victim scans run (tests)
 
 	// pendingIO collects device calls generated under the lock; they
 	// run after the lock is released (unlockAndFlush), because real
@@ -81,6 +89,8 @@ type shard struct {
 	// finds its spares in place allocates nothing.
 	spareIO   []ioCall    //lint:guardedby mu
 	spareDone []doneEntry //lint:guardedby mu
+	// freeDirect recycles direct-read records (directCall).
+	freeDirect *directCall //lint:guardedby mu
 
 	// compMu guards the device-completion queue. It is a leaf lock:
 	// enqueueCompletion takes it from device-callback goroutines with
@@ -117,7 +127,7 @@ type doneEntry struct {
 
 // ioCall is one device call queued under the shard lock and issued by
 // the flush after the lock is released. A fetch, or its retry, is
-// (st, b, pb); a direct read or a speculative leg carries fn instead.
+// (st, b, pb); a direct read is dc; a speculative leg carries fn.
 //
 // pb is the buffer's pooled memory captured when the call is queued,
 // under the lock — NOT read from b.pbuf when the call runs: a
@@ -129,6 +139,7 @@ type doneEntry struct {
 // winner's live — or worse, already recycled — buffer.
 type ioCall struct {
 	fn func()
+	dc *directCall
 	st *stream
 	b  *buffer
 	pb *bufpool.Buf
@@ -138,6 +149,10 @@ type ioCall struct {
 // when it has any, through the allocating path otherwise. No lock
 // held.
 func (c *ioCall) run(sh *shard) {
+	if c.dc != nil {
+		c.dc.issue()
+		return
+	}
 	if c.fn != nil {
 		c.fn()
 		return
@@ -175,6 +190,7 @@ func newShard(srv *Server, idx int) *shard {
 		perDisk:    make(map[int]int),
 		lastOffset: make(map[int]int64),
 		breakers:   make(map[int]*breaker),
+		idleFloor:  noIdleFloor,
 	}
 	sh.flushFn = sh.flushWork
 	return sh
@@ -290,16 +306,21 @@ func (sh *shard) drain() {
 	}
 }
 
-// deliver completes one batch of staged-data responses, stamped with
-// End at enqueue (the serving shard's clock reading). When the device
-// models host CPU, each delivery is charged individually (the sim's
-// accounting is per request) and End moves past the charge; otherwise
-// the batch completes synchronously with no per-response timer.
+// deliver completes one batch of responses, stamped with End at
+// enqueue (the serving shard's clock reading). When the device models
+// host CPU, each staged-data delivery is charged individually (the
+// sim's accounting is per request) and End moves past the charge;
+// direct and failed reads are not charged. Otherwise the batch
+// completes synchronously with no per-response timer.
 func (sh *shard) deliver(batch []doneEntry) {
 	srv := sh.srv
 	if srv.cpu != nil {
 		for i := range batch {
 			e := batch[i] // copy: the backing array is recycled
+			if !e.resp.FromBuffer {
+				e.done(e.resp)
+				continue
+			}
 			srv.cpu.ChargeRequest(e.length, func() {
 				e.resp.End = srv.clock.Now()
 				e.done(e.resp)
@@ -313,8 +334,8 @@ func (sh *shard) deliver(batch []doneEntry) {
 	}
 }
 
-// enqueueDone queues one staged-data completion for the flush that ends
-// the current critical section.
+// enqueueDone queues one completion for the flush that ends the
+// current critical section.
 // Caller holds sh.mu.
 //
 //lint:holds mu
@@ -358,8 +379,8 @@ func (sh *shard) submit(req Request) error {
 			sh.fr.Record(flight.Event{Trace: req.Trace, Op: flight.OpFastFail, Err: flight.ErrDegraded,
 				Disk: uint16(req.Disk), Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: now})
 		}
-		sh.mu.Unlock()
-		srv.complete(req.Done, Response{Start: now, Direct: true, Err: ErrDiskDegraded})
+		sh.enqueueDone(req.Done, Response{Start: now, End: now, Direct: true, Err: ErrDiskDegraded}, req.Length)
+		sh.unlockAndFlush()
 		return nil
 	}
 
@@ -644,44 +665,75 @@ func (sh *shard) scoreMiss(entry *slo.StreamLedger, disk int, stream int32, tr u
 //lint:holds mu
 func (sh *shard) directRead(req Request, now time.Duration) {
 	sh.stats.DirectReads++
-	srv := sh.srv
-	sh.pendingIO = append(sh.pendingIO, ioCall{fn: func() {
-		var pb *bufpool.Buf
-		var err error
-		if srv.rinto != nil {
-			pb = srv.pool.Get(req.Length)
-			err = srv.rinto.ReadInto(req.Disk, req.Offset, req.Length, pb.Data, func(data []byte, derr error) {
-				sh.onDirectDone(req, now, pb, data, derr)
-			})
-		} else {
-			err = srv.dev.ReadAt(req.Disk, req.Offset, req.Length, func(data []byte, derr error) {
-				sh.onDirectDone(req, now, nil, data, derr)
-			})
-		}
-		if err != nil {
-			// Validated at Submit; only a racing capacity change could
-			// land here. Fail the request rather than wedging the
-			// client.
-			pb.Release()
-			srv.complete(req.Done, Response{Start: now, Direct: true, Err: err})
-		}
-	}})
+	dc := sh.freeDirect
+	if dc == nil {
+		dc = &directCall{sh: sh}
+		dc.onDone = dc.deviceDone
+	} else {
+		sh.freeDirect = dc.next
+		dc.next = nil
+	}
+	dc.req, dc.start = req, now
+	sh.pendingIO = append(sh.pendingIO, ioCall{dc: dc})
 }
 
-// onDirectDone routes the direct-path device completion through the
-// shard's completion reaper, which books it (in a batch, when other
+// directCall is one direct read from its queueing to its booking: the
+// request, its start and the pooled buffer it reads into. The device
+// callback is bound once, when the record is made, so a recycled
+// record issues its read without allocating. Records are taken from
+// and returned to the shard's free list under sh.mu; in between, the
+// read in flight owns its record.
+type directCall struct {
+	sh     *shard
+	req    Request
+	start  time.Duration
+	pb     *bufpool.Buf
+	onDone func(data []byte, err error)
+	next   *directCall // free-list link
+}
+
+// issue runs the device call. No lock held. A device that completes
+// inline books and recycles the record before the call returns, so
+// nothing here reads the record after it.
+func (dc *directCall) issue() {
+	srv, req, start := dc.sh.srv, dc.req, dc.start
+	var pb *bufpool.Buf
+	var err error
+	if srv.rinto != nil {
+		pb = srv.pool.Get(req.Length)
+		dc.pb = pb
+		err = srv.rinto.ReadInto(req.Disk, req.Offset, req.Length, pb.Data, dc.onDone)
+	} else {
+		err = srv.dev.ReadAt(req.Disk, req.Offset, req.Length, dc.onDone)
+	}
+	if err != nil {
+		// Validated at Submit; only a racing capacity change could land
+		// here. Fail the request rather than wedging the client. The
+		// record is left to the garbage collector: returning it would
+		// take the lock on a path that never runs.
+		pb.Release()
+		if req.Done != nil {
+			req.Done(Response{Start: start, End: srv.clock.Now(), Direct: true, Err: err})
+		}
+	}
+}
+
+// deviceDone routes the device completion through the shard's
+// completion reaper, which books it (in a batch, when other
 // completions are queued behind it) under the shard lock.
-func (sh *shard) onDirectDone(req Request, start time.Duration, pb *bufpool.Buf, data []byte, derr error) {
-	sh.enqueueCompletion(completion{kind: compDirect, req: req, start: start, pb: pb, data: data, err: derr})
+func (dc *directCall) deviceDone(data []byte, err error) {
+	dc.sh.enqueueCompletion(completion{dc: dc, data: data, err: err})
 }
 
-// onDirectDoneLocked books one direct-path delivery and completes it.
-// The completion itself is safe under the lock: Server.complete only
-// schedules through the clock, never runs the client callback inline.
-// Caller holds sh.mu.
+// onDirectDoneLocked books one direct-path delivery, returns its
+// record to the free list, and queues the response for the flush that
+// ends the reaper's hold. Caller holds sh.mu.
 //
 //lint:holds mu
-func (sh *shard) onDirectDoneLocked(req Request, start time.Duration, pb *bufpool.Buf, data []byte, derr error) {
+func (sh *shard) onDirectDoneLocked(dc *directCall, data []byte, derr error) {
+	req, start, pb := dc.req, dc.start, dc.pb
+	*dc = directCall{sh: sh, onDone: dc.onDone, next: sh.freeDirect}
+	sh.freeDirect = dc
 	srv := sh.srv
 	sh.stats.BytesDelivered += req.Length
 	end := srv.clock.Now()
@@ -717,13 +769,13 @@ func (sh *shard) onDirectDoneLocked(req Request, start time.Duration, pb *bufpoo
 		sh.fr.Record(flight.Event{Trace: req.Trace, Op: flight.OpDirect, Err: code, Disk: uint16(req.Disk),
 			Stream: flight.NoStream, Offset: req.Offset, Length: req.Length, T: end, Dur: end - start})
 	}
-	resp := Response{Start: start, Data: data, Direct: true, Err: derr}
+	resp := Response{Start: start, End: end, Data: data, Direct: true, Err: derr}
 	if derr != nil || data == nil {
 		pb.Release()
 	} else {
 		resp.pbuf = pb
 	}
-	srv.complete(req.Done, resp)
+	sh.enqueueDone(req.Done, resp, req.Length)
 }
 
 // createStream registers a new sequential stream whose next expected
@@ -938,6 +990,8 @@ func (sh *shard) checkInvariants() {
 		for _, b := range st.buffers {
 			staged += b.size()
 			nbuf++
+			invariants.Check(b.lastActive >= sh.idleFloor,
+				"shard %d buffer of stream %d active at %v, below the idle floor %v", sh.idx, st.id, b.lastActive, sh.idleFloor)
 		}
 		if st.dispatched {
 			ndispatched++
@@ -964,21 +1018,32 @@ func (sh *shard) checkInvariants() {
 	}
 }
 
+// noIdleFloor is the idle floor of a shard with no live buffer.
+const noIdleFloor = time.Duration(math.MaxInt64)
+
 // findEvictVictim returns the shard's least-recently-active staged
 // buffer that is ready, has no waiter, and has been idle at least
-// EvictIdle (with its owner), or nils. Caller holds sh.mu.
+// EvictIdle (with its owner), or nils. While the idle floor proves
+// that no buffer is idle that long it answers without a scan; a scan
+// recomputes the floor. Caller holds sh.mu.
 //
 //lint:holds mu
 func (sh *shard) findEvictVictim() (*stream, *buffer) {
 	now := sh.srv.clock.Now()
+	idle := sh.srv.cfg.EvictIdle
+	if now-idle < sh.idleFloor {
+		return nil, nil
+	}
+	sh.evictScans++
+	floor := noIdleFloor
 	var victim *buffer
 	var owner *stream
 	for _, st := range sh.streams {
-		if st.fetchInFlight {
-			continue
-		}
 		for _, b := range st.buffers {
-			if !b.ready || now-b.lastActive < sh.srv.cfg.EvictIdle {
+			if b.lastActive < floor {
+				floor = b.lastActive
+			}
+			if st.fetchInFlight || !b.ready || now-b.lastActive < idle {
 				continue
 			}
 			if hasWaiter(st, b) {
@@ -989,6 +1054,7 @@ func (sh *shard) findEvictVictim() (*stream, *buffer) {
 			}
 		}
 	}
+	sh.idleFloor = floor
 	return owner, victim
 }
 
@@ -1059,6 +1125,9 @@ func (sh *shard) issueFetch(st *stream) {
 		lastActive: now,
 		issuedAt:   now,
 		owner:      st,
+	}
+	if now < sh.idleFloor {
+		sh.idleFloor = now
 	}
 	if srv.rinto != nil {
 		b.pbuf = srv.pool.Get(flen)
@@ -1155,7 +1224,7 @@ func (sh *shard) onFetchTimeout(st *stream, b *buffer) {
 	sh.parkStream(st)
 	sh.checkInvariants()
 	for _, p := range failed {
-		srv.complete(p.done, Response{Start: p.start, Err: ErrFetchTimeout})
+		sh.enqueueDone(p.done, Response{Start: p.start, End: now, Err: ErrFetchTimeout}, p.length)
 	}
 	sh.unlockAndFlush()
 }
@@ -1195,16 +1264,15 @@ func (sh *shard) scheduleRetry(st *stream, b *buffer) {
 // shard's completion reaper, which batches concurrent completions
 // under one lock hold.
 func (sh *shard) onFetchDone(st *stream, b *buffer, data []byte, derr error) {
-	sh.enqueueCompletion(completion{kind: compFetch, st: st, b: b, data: data, err: derr})
+	sh.enqueueCompletion(completion{st: st, b: b, data: data, err: derr})
 }
 
 // onFetchDoneLocked is the completion path (§4.2). It gives priority
 // to the issue path — the next fetch (or the next candidate stream)
 // is issued before any pending client requests are completed — so the
-// disks never idle behind client completions. Failure completions run
-// through Server.complete, which is safe under the lock (it only
-// schedules through the clock); queued work is drained by the
-// reaper's flush after the lock is released. Caller holds sh.mu.
+// disks never idle behind client completions. Deliveries and failure
+// completions alike are queued for the reaper's flush, which runs them
+// after the lock is released. Caller holds sh.mu.
 //
 //lint:holds mu
 func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr error) {
@@ -1312,7 +1380,7 @@ func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr erro
 		sh.parkStream(st)
 		sh.checkInvariants()
 		for _, p := range failed {
-			srv.complete(p.done, Response{Start: p.start, Err: derr})
+			sh.enqueueDone(p.done, Response{Start: p.start, End: now, Err: derr}, p.length)
 		}
 		return
 	}

@@ -367,7 +367,7 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 		sh.parkStream(st)
 		sh.checkInvariants()
 		for _, p := range failed {
-			srv.complete(p.done, Response{Start: p.start, Err: derr})
+			sh.enqueueDone(p.done, Response{Start: p.start, End: now, Err: derr}, p.length)
 		}
 		sh.unlockAndFlush()
 		return
