@@ -5,10 +5,8 @@ import (
 	"fmt"
 	"time"
 
-	"seqstream/internal/bufpool"
 	"seqstream/internal/flight"
 	"seqstream/internal/invariants"
-	"seqstream/internal/trace"
 )
 
 // Config parameterizes a Server.
@@ -97,22 +95,12 @@ type Config struct {
 	// single-lock scheduler and exists for A/B benchmarking.
 	Shards int
 
-	// Pool is the staging buffer pool used when the device supports
-	// ReadInto. Nil allocates a private pool; supply one to share
-	// staging memory with other components (the ingest path) or to
-	// observe pool metrics.
-	Pool *bufpool.Pool
-
 	// NearSeqWindow, when positive, lets a request join a classified
 	// stream whose expected offset is within this many bytes — the
 	// near-sequential streams §4.1 leaves as future work (players that
 	// skip container metadata, stride readers). Skipped ranges count
 	// as consumed; zero keeps the paper's strict in-order matching.
 	NearSeqWindow int64
-
-	// Trace, when non-nil, records client completions, fetches, direct
-	// reads, evictions, rotations, and GC events for offline analysis.
-	Trace *trace.Tracer
 
 	// Obs, when non-nil, feeds the scheduler's metric families and
 	// (optionally) a stream-lifecycle span log. Build it with NewObs
@@ -145,14 +133,6 @@ type Config struct {
 	// never ranked (an unseeded EWMA reads zero). Requires Replicas >=
 	// 2 and WindowSpan > 0; zero disables steering.
 	SteerFactor float64
-	// SteerMinEwma floors the disk EWMA at which steering (and the
-	// rotation's deprioritization, and speculation timer arming)
-	// engages, default 1ms: a disk whose fetches complete below it is
-	// healthy no matter how its EWMA compares to an even faster
-	// peer's, so microsecond-scale jitter on fast devices cannot
-	// masquerade as a straggler — and no per-fetch speculation timer
-	// is armed for reads that will complete in microseconds.
-	SteerMinEwma time.Duration
 
 	// SpecQuantile, when positive, turns on speculative re-issue: an
 	// in-flight fetch that has been outstanding longer than this
@@ -190,15 +170,12 @@ type Config struct {
 	SLOObjective float64
 	// SLOFastWindow/SLOMidWindow/SLOSlowWindow are the burn-rate
 	// horizons: the fast (paging) alert requires both the fast and mid
-	// windows to burn past SLOFastBurn, the slow (ticket) alert watches
-	// the slow window against SLOSlowBurn. Defaults 5m/1h/6h.
+	// windows to burn past slo.DefaultFastBurn (14.4), the slow
+	// (ticket) alert watches the slow window against
+	// slo.DefaultSlowBurn (6). Defaults 5m/1h/6h.
 	SLOFastWindow time.Duration
 	SLOMidWindow  time.Duration
 	SLOSlowWindow time.Duration
-	// SLOFastBurn/SLOSlowBurn are the alert thresholds (defaults
-	// slo.DefaultFastBurn 14.4 / slo.DefaultSlowBurn 6).
-	SLOFastBurn float64
-	SLOSlowBurn float64
 	// SLOMinSamples gates alerting on burn-window population (default
 	// slo.DefaultMinSamples).
 	SLOMinSamples int64
@@ -207,13 +184,10 @@ type Config struct {
 	// telemetry (see LatencyWindows): request latency node-wide and
 	// fetch latency node-wide plus per disk, observed beside the
 	// cumulative Obs histograms but covering only the last WindowSpan
-	// of traffic. Independent of Obs so the health engine can run with
-	// metrics off; zero disables windows entirely.
+	// of traffic, in obs.DefaultWindowBuckets ring slots (a 60s window
+	// rotates a 5s slot). Independent of Obs so the health engine can
+	// run with metrics off; zero disables windows entirely.
 	WindowSpan time.Duration
-	// WindowBuckets splits WindowSpan into this many ring slots
-	// (default obs.DefaultWindowBuckets, i.e. 12 — a 60s window
-	// rotates a 5s slot).
-	WindowBuckets int
 }
 
 // DefaultConfig returns the §5 defaults for a node with the given
@@ -275,9 +249,6 @@ func (c *Config) ApplyDefaults() {
 			c.SpecMinDelay = time.Millisecond
 		}
 	}
-	if (c.SteerFactor > 0 || c.SpecQuantile > 0) && c.SteerMinEwma == 0 {
-		c.SteerMinEwma = time.Millisecond
-	}
 }
 
 // DeriveDispatch returns the largest D satisfying M >= D*R*N, at least 1.
@@ -336,8 +307,6 @@ func (c Config) Validate() error {
 		return errors.New("core: shard count must be >= 0")
 	case c.WindowSpan < 0:
 		return errors.New("core: window span must be >= 0")
-	case c.WindowBuckets < 0:
-		return errors.New("core: window buckets must be >= 0")
 	case c.Replicas < 0:
 		return errors.New("core: replicas must be >= 0")
 	case c.SteerFactor < 0:
@@ -346,8 +315,6 @@ func (c Config) Validate() error {
 		return errors.New("core: steering requires Replicas >= 2")
 	case c.SteerFactor > 0 && c.WindowSpan <= 0:
 		return errors.New("core: steering requires WindowSpan > 0 (EWMA/window telemetry)")
-	case c.SteerMinEwma < 0:
-		return errors.New("core: steer EWMA floor must be >= 0")
 	case c.SpecQuantile < 0 || c.SpecQuantile >= 1:
 		return errors.New("core: speculation quantile must be in [0, 1)")
 	case c.SpecQuantile > 0 && c.Replicas < 2:
@@ -360,7 +327,7 @@ func (c Config) Validate() error {
 		return errors.New("core: speculation min delay must be >= 0")
 	case c.SLOTarget < 0:
 		return errors.New("core: SLO target must be >= 0")
-	case c.SLOLateFactor < 0 || c.SLOObjective < 0 || c.SLOFastBurn < 0 || c.SLOSlowBurn < 0 || c.SLOMinSamples < 0:
+	case c.SLOLateFactor < 0 || c.SLOObjective < 0 || c.SLOMinSamples < 0:
 		return errors.New("core: SLO parameters must be >= 0")
 	case c.SLOFastWindow < 0 || c.SLOMidWindow < 0 || c.SLOSlowWindow < 0:
 		return errors.New("core: SLO burn-rate windows must be >= 0")

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"strings"
 	"testing"
 	"time"
 )
@@ -77,6 +79,71 @@ func TestConfigValidate(t *testing.T) {
 	}
 	if err := base().Validate(); err != nil {
 		t.Errorf("base config rejected: %v", err)
+	}
+}
+
+// TestConfigValidateRejects drives each Validate branch that
+// TestConfigValidate leaves out with one invalid config, checking that
+// the branch itself (not an earlier one) rejects it, and accepts the
+// valid boundary of every branch.
+func TestConfigValidateRejects(t *testing.T) {
+	replicated := func(c *Config) {
+		c.Replicas = 2
+		c.WindowSpan = time.Minute
+	}
+	tests := []struct {
+		name   string
+		mutate func(*Config)
+		want   string // error substring; empty means the config is valid
+	}{
+		{"D 1", func(c *Config) { c.DispatchSize = 1 }, ""},
+		{"memory equals R", func(c *Config) { c.Memory = c.ReadAhead }, ""},
+		{"two-block region", func(c *Config) { c.RegionBlocks, c.DetectThreshold = 2, 2 }, ""},
+		{"threshold equals region", func(c *Config) { c.DetectThreshold = c.RegionBlocks }, ""},
+		{"zero evict idle", func(c *Config) { c.EvictIdle = 0 }, "GC periods"},
+		{"negative near-seq window", func(c *Config) { c.NearSeqWindow = -1 }, "near-sequential"},
+		{"negative fetch timeout", func(c *Config) { c.FetchTimeout = -1 }, "fetch timeout"},
+		{"negative retries", func(c *Config) { c.FetchRetries = -1 }, "fetch retries"},
+		{"retries without backoff", func(c *Config) { c.FetchRetries = 1 }, "retry backoff"},
+		{"retries with backoff", func(c *Config) { c.FetchRetries, c.RetryBackoff = 1, time.Nanosecond }, ""},
+		{"negative breaker", func(c *Config) { c.BreakerThreshold = -1 }, "breaker threshold"},
+		{"breaker without cooldown", func(c *Config) { c.BreakerThreshold = 1 }, "breaker cooldown"},
+		{"breaker with cooldown", func(c *Config) { c.BreakerThreshold, c.BreakerCooldown = 1, time.Nanosecond }, ""},
+		{"negative shards", func(c *Config) { c.Shards = -1 }, "shard count"},
+		{"negative window span", func(c *Config) { c.WindowSpan = -1 }, "window span"},
+		{"negative replicas", func(c *Config) { c.Replicas = -1 }, "replicas must be"},
+		{"negative steer factor", func(c *Config) { c.SteerFactor = -1 }, "steer factor"},
+		{"steering without replicas", func(c *Config) { c.SteerFactor, c.WindowSpan = 2, time.Minute }, "steering requires Replicas"},
+		{"steering without windows", func(c *Config) { c.SteerFactor, c.Replicas = 2, 2 }, "steering requires WindowSpan"},
+		{"steering", func(c *Config) { replicated(c); c.SteerFactor = 2 }, ""},
+		{"negative quantile", func(c *Config) { c.SpecQuantile = -0.5 }, "speculation quantile"},
+		{"quantile 1", func(c *Config) { replicated(c); c.SpecQuantile = 1 }, "speculation quantile"},
+		{"speculation without replicas", func(c *Config) { c.SpecQuantile, c.WindowSpan = 0.9, time.Minute }, "speculation requires Replicas"},
+		{"speculation without windows", func(c *Config) { c.SpecQuantile, c.Replicas = 0.9, 2 }, "speculation requires WindowSpan"},
+		{"quantile just below 1", func(c *Config) { replicated(c); c.SpecQuantile = math.Nextafter(1, 0) }, ""},
+		{"negative spec samples", func(c *Config) { c.SpecMinSamples = -1 }, "min samples"},
+		{"negative spec delay", func(c *Config) { c.SpecMinDelay = -1 }, "min delay"},
+		{"negative SLO target", func(c *Config) { c.SLOTarget = -1 }, "SLO target"},
+		{"negative late factor", func(c *Config) { c.SLOLateFactor = -1 }, "SLO parameters"},
+		{"negative objective", func(c *Config) { c.SLOObjective = -1 }, "SLO parameters"},
+		{"negative SLO samples", func(c *Config) { c.SLOMinSamples = -1 }, "SLO parameters"},
+		{"negative SLO window", func(c *Config) { c.SLOMidWindow = -1 }, "burn-rate windows"},
+		{"SLO on", func(c *Config) { c.SLOTarget = time.Millisecond }, ""},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			cfg := DefaultConfig(64<<20, 1<<20)
+			tt.mutate(&cfg)
+			err := cfg.Validate()
+			switch {
+			case tt.want == "" && err != nil:
+				t.Errorf("valid config rejected: %v", err)
+			case tt.want != "" && err == nil:
+				t.Error("invalid config accepted")
+			case tt.want != "" && !strings.Contains(err.Error(), tt.want):
+				t.Errorf("error %q, want it to mention %q", err, tt.want)
+			}
+		})
 	}
 }
 

@@ -9,11 +9,10 @@ import (
 	"seqstream/internal/blockdev"
 	"seqstream/internal/flight"
 	"seqstream/internal/obs"
-	"seqstream/internal/trace"
 )
 
 // obsNode builds a simulated node with a registry, span log, and
-// tracer attached.
+// flight recorder attached.
 func obsNode(t *testing.T, cfg Config) (*testNode, *obs.Registry, *obs.SpanLog) {
 	t.Helper()
 	reg := obs.NewRegistry()
@@ -26,11 +25,9 @@ func obsNode(t *testing.T, cfg Config) (*testNode, *obs.Registry, *obs.SpanLog) 
 	}
 	// Rebuild the server with instruments attached.
 	cfg.Obs = NewObs(reg, spans)
-	tr, err := trace.New(4096)
-	if err != nil {
+	if cfg.Flight, err = flight.New(n.clock.Now, 1, 1<<14); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Trace = tr
 	srv, err := NewServer(n.dev, n.clock, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -298,36 +295,42 @@ func TestObsSpansReconstructLifecycle(t *testing.T) {
 	}
 }
 
-func TestObsTraceCarriesStreamIDsAndRotation(t *testing.T) {
+func TestObsFlightCarriesStreamIDsAndRotation(t *testing.T) {
 	cfg := DefaultConfig(4<<20, 1<<20) // D=4: rotation under stream pressure
 	n, _, _ := obsNode(t, cfg)
 	n.runStreams(t, 8, 16)
+	// One traced read in the gap between two streams' regions: a fresh
+	// region, so it takes the direct path.
+	rec := n.server.cfg.Flight
+	gap := n.dev.Capacity(0) / 16
+	n.do(t, Request{Disk: 0, Offset: gap - gap%512, Length: 4096, Trace: rec.NextTrace()})
 
-	sum := n.server.cfg.Trace.Summarize()
-	if sum.Rotates == 0 {
-		t.Error("no rotate events traced under stream pressure")
-	}
-	if sum.Streams == 0 {
-		t.Error("no stream ids on traced events")
-	}
-	var sawStreamFetch, sawNoStreamDirect bool
-	for _, e := range n.server.cfg.Trace.Snapshot() {
-		switch e.Kind {
-		case trace.KindFetch:
-			if e.Stream != trace.NoStream {
-				sawStreamFetch = true
+	var rotates, streamFetches, tracedDirects int
+	for _, e := range rec.Snapshot().Merged() {
+		switch e.Op {
+		case flight.OpRotate:
+			rotates++
+		case flight.OpFetch:
+			if e.Stream != flight.NoStream {
+				streamFetches++
 			}
-		case trace.KindDirect:
-			if e.Stream == trace.NoStream {
-				sawNoStreamDirect = true
+		case flight.OpDirect:
+			if e.Trace != 0 {
+				tracedDirects++
+			}
+			if e.Stream != flight.NoStream {
+				t.Errorf("direct event carries stream %d, want NoStream", e.Stream)
 			}
 		}
 	}
-	if !sawStreamFetch {
+	if rotates == 0 {
+		t.Error("no rotate events recorded under stream pressure")
+	}
+	if streamFetches == 0 {
 		t.Error("fetch events lack stream attribution")
 	}
-	if !sawNoStreamDirect {
-		t.Error("direct events should carry NoStream")
+	if tracedDirects == 0 {
+		t.Error("the traced direct read recorded no event")
 	}
 }
 
@@ -364,8 +367,14 @@ func TestObsGCEvents(t *testing.T) {
 		if !sawGCSpan {
 			t.Error("no GC span recorded")
 		}
-		if n.server.cfg.Trace.Summarize().GCs == 0 {
-			t.Error("no KindGC trace events")
+		var sawGCEvent bool
+		for _, e := range n.server.cfg.Flight.Snapshot().Merged() {
+			if e.Op == flight.OpGC {
+				sawGCEvent = true
+			}
+		}
+		if !sawGCEvent {
+			t.Error("no OpGC flight event recorded")
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"seqstream/internal/bufpool"
 	"seqstream/internal/invariants"
 	"seqstream/internal/slo"
-	"seqstream/internal/trace"
 )
 
 // Request is one client read arriving at the storage node.
@@ -255,7 +254,6 @@ func NewServer(dev blockdev.Device, clock blockdev.Clock, cfg Config) (*Server, 
 		cfg:   cfg,
 		dev:   dev,
 		clock: clock,
-		pool:  cfg.Pool,
 	}
 	if acct, ok := dev.(blockdev.BufferAccounting); ok {
 		s.acct = acct
@@ -269,9 +267,7 @@ func NewServer(dev blockdev.Device, clock blockdev.Clock, cfg Config) (*Server, 
 		// pooled path off rather than failing every fetch.
 		if g, gated := dev.(blockdev.ReadIntoSupported); !gated || g.SupportsReadInto() {
 			s.rinto = ri
-			if s.pool == nil {
-				s.pool = bufpool.New()
-			}
+			s.pool = bufpool.New()
 		}
 	}
 	if cfg.Replicas > 1 {
@@ -293,7 +289,7 @@ func NewServer(dev blockdev.Device, clock blockdev.Clock, cfg Config) (*Server, 
 		s.shards[i] = newShard(s, i)
 	}
 	if cfg.WindowSpan > 0 {
-		win, err := newLatencyWindows(clock.Now, cfg.WindowSpan, cfg.WindowBuckets, dev.Disks())
+		win, err := newLatencyWindows(clock.Now, cfg.WindowSpan, dev.Disks())
 		if err != nil {
 			return nil, err
 		}
@@ -304,17 +300,14 @@ func NewServer(dev blockdev.Device, clock blockdev.Clock, cfg Config) (*Server, 
 	}
 	if cfg.SLOTarget > 0 {
 		ledger, err := slo.NewLedger(slo.Config{
-			Target:        cfg.SLOTarget,
-			ReadAhead:     cfg.ReadAhead,
-			LateFactor:    cfg.SLOLateFactor,
-			Objective:     cfg.SLOObjective,
-			FastWindow:    cfg.SLOFastWindow,
-			MidWindow:     cfg.SLOMidWindow,
-			SlowWindow:    cfg.SLOSlowWindow,
-			FastBurn:      cfg.SLOFastBurn,
-			SlowBurn:      cfg.SLOSlowBurn,
-			WindowBuckets: cfg.WindowBuckets,
-			MinSamples:    cfg.SLOMinSamples,
+			Target:     cfg.SLOTarget,
+			ReadAhead:  cfg.ReadAhead,
+			LateFactor: cfg.SLOLateFactor,
+			Objective:  cfg.SLOObjective,
+			FastWindow: cfg.SLOFastWindow,
+			MidWindow:  cfg.SLOMidWindow,
+			SlowWindow: cfg.SLOSlowWindow,
+			MinSamples: cfg.SLOMinSamples,
 		}, clock.Now, dev.Disks())
 		if err != nil {
 			return nil, err
@@ -519,13 +512,6 @@ func (s *Server) Submit(req Request) error {
 		return fmt.Errorf("core: %w", err)
 	}
 	return s.shardFor(req.Disk).submit(req)
-}
-
-// traceEvent records e when tracing is configured.
-func (s *Server) traceEvent(e trace.Event) {
-	if s.cfg.Trace != nil {
-		s.cfg.Trace.Record(e)
-	}
 }
 
 // --- global budget accounting -------------------------------------

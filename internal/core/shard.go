@@ -13,7 +13,6 @@ import (
 	"seqstream/internal/invariants"
 	"seqstream/internal/obs"
 	"seqstream/internal/slo"
-	"seqstream/internal/trace"
 )
 
 // shard is one scheduler shard. Disks are assigned to shards by
@@ -582,8 +581,6 @@ func (sh *shard) serveFromBuffer(st *stream, b *buffer, p pendingReq, now time.D
 		w.observeRequest(now, now-p.start)
 	}
 	sh.scoreDelivery(st.slo, st.disk, int32(st.id), p.trace, p.off, p.length, now-p.start, true, now)
-	sh.srv.traceEvent(trace.Event{Kind: trace.KindClient, Stream: st.id, Disk: st.disk, Offset: p.off,
-		Length: p.length, Start: p.start, End: now, Hit: true})
 	if sh.fr != nil && record {
 		sh.fr.Record(flight.Event{Trace: p.trace, Op: flight.OpDeliver, Disk: uint16(st.disk),
 			Stream: int32(st.id), Offset: p.off, Length: p.length, T: now, Dur: now - p.start})
@@ -753,14 +750,6 @@ func (sh *shard) onDirectDoneLocked(dc *directCall, data []byte, derr error) {
 	} else {
 		sh.scoreDelivery(nil, req.Disk, flight.NoStream, req.Trace, req.Offset, req.Length, end-start, false, end)
 	}
-	errMsg := ""
-	if derr != nil {
-		errMsg = derr.Error()
-	}
-	srv.traceEvent(trace.Event{Kind: trace.KindDirect, Stream: trace.NoStream, Disk: req.Disk,
-		Offset: req.Offset, Length: req.Length, Start: start, End: end, Err: errMsg})
-	srv.traceEvent(trace.Event{Kind: trace.KindClient, Stream: trace.NoStream, Disk: req.Disk,
-		Offset: req.Offset, Length: req.Length, Start: start, End: end, Err: errMsg})
 	if sh.fr != nil && req.Trace != 0 {
 		code := flight.ErrNone
 		if derr != nil {
@@ -1070,8 +1059,6 @@ func (sh *shard) evictIdleBuffer() bool {
 	now := sh.srv.clock.Now()
 	sh.stats.BuffersEvicted++
 	sh.srv.cfg.Obs.span(now, owner.id, victim.disk, obs.StageEvict, victim.start, victim.size())
-	sh.srv.traceEvent(trace.Event{Kind: trace.KindEvict, Stream: owner.id, Disk: victim.disk,
-		Offset: victim.start, Length: victim.size(), Start: victim.issuedAt, End: now})
 	if sh.fr != nil {
 		sh.fr.Record(flight.Event{Op: flight.OpEvict, Disk: uint16(victim.disk),
 			Stream: int32(owner.id), Offset: victim.start, Length: victim.size(), T: now})
@@ -1204,8 +1191,6 @@ func (sh *shard) onFetchTimeout(st *stream, b *buffer) {
 	st.fetchInFlight = false
 	now := srv.clock.Now()
 	sh.stats.FetchTimeouts++
-	srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: st.disk, Offset: b.start,
-		Length: b.size(), Start: b.issuedAt, End: now, Err: ErrFetchTimeout.Error()})
 	if sh.fr != nil {
 		sh.fr.Record(flight.Event{Op: flight.OpTimeout, Err: flight.ErrTimeout, Disk: uint16(st.disk),
 			Stream: int32(st.id), Offset: b.start, Length: b.size(), T: now, Dur: now - b.issuedAt})
@@ -1343,10 +1328,6 @@ func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr erro
 		b.pbuf = nil
 	}
 	b.lastActive = now
-	fetchErr := ""
-	if derr != nil {
-		fetchErr = derr.Error()
-	}
 	if o := srv.cfg.Obs; o != nil {
 		o.fetchLatency.Observe(now - b.issuedAt)
 		o.span(now, st.id, st.disk, obs.StageStaged, b.start, b.size())
@@ -1354,8 +1335,6 @@ func (sh *shard) onFetchDoneLocked(st *stream, b *buffer, data []byte, derr erro
 	if w := srv.win; w != nil {
 		w.observeFetch(b.readDisk, now, now-b.issuedAt)
 	}
-	srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: b.readDisk, Offset: b.start,
-		Length: b.size(), Start: b.issuedAt, End: now, Err: fetchErr})
 	if sh.fr != nil {
 		op, code := flight.OpStaged, flight.ErrNone
 		if derr != nil {
@@ -1486,11 +1465,9 @@ func (sh *shard) unDispatch(st *stream) {
 	sh.stats.Rotations++
 	// Rotation is worth a timeline entry: dispatch-set churn is the
 	// §4.2 mechanism the paper's fairness argument rests on.
-	if sh.srv.cfg.Obs.Spans() != nil || sh.srv.cfg.Trace != nil || sh.fr != nil {
+	if sh.srv.cfg.Obs.Spans() != nil || sh.fr != nil {
 		now := sh.srv.clock.Now()
 		sh.srv.cfg.Obs.span(now, st.id, st.disk, obs.StageRotate, st.nextFetch, 0)
-		sh.srv.traceEvent(trace.Event{Kind: trace.KindRotate, Stream: st.id, Disk: st.disk,
-			Offset: st.nextFetch, Start: now, End: now})
 		if sh.fr != nil {
 			sh.fr.Record(flight.Event{Op: flight.OpRotate, Disk: uint16(st.disk),
 				Stream: int32(st.id), Offset: st.nextFetch, T: now})
@@ -1621,8 +1598,6 @@ func (sh *shard) gcTick() {
 			srv.liveStreams.Add(-1)
 			sh.stats.StreamsGCed++
 			srv.cfg.Obs.span(now, st.id, st.disk, obs.StageGC, st.nextClient, 0)
-			srv.traceEvent(trace.Event{Kind: trace.KindGC, Stream: st.id, Disk: st.disk,
-				Offset: st.nextClient, Start: st.lastActive, End: now})
 			if sh.fr != nil {
 				sh.fr.Record(flight.Event{Op: flight.OpGC, Disk: uint16(st.disk),
 					Stream: int32(st.id), Offset: st.nextClient, T: now})

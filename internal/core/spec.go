@@ -6,7 +6,6 @@ import (
 	"seqstream/internal/bufpool"
 	"seqstream/internal/flight"
 	"seqstream/internal/obs"
-	"seqstream/internal/trace"
 )
 
 // This file is the straggler-aware dispatch layer: when Config.Replicas
@@ -17,6 +16,14 @@ import (
 // first completion winning. Both mechanisms consume the sliding-window
 // telemetry (LatencyWindows) and the lock-free breaker mirror
 // (Server.diskDown); neither touches another shard's lock inline.
+
+// steerMinEwma floors the disk EWMA at which steering, the rotation's
+// deprioritization and speculation timer arming engage: a disk whose
+// fetches complete below it is healthy no matter how its EWMA compares
+// to an even faster peer's, so microsecond-scale jitter on fast devices
+// cannot masquerade as a straggler, and no per-fetch speculation timer
+// is armed for reads that will complete in microseconds.
+const steerMinEwma = time.Millisecond
 
 // specFetch is one speculative duplicate of a buffer's fetch, issued
 // on a replica of the buffer's disk while the primary leg is still
@@ -97,7 +104,7 @@ func (sh *shard) pickFetchDisk(primary int) int {
 		// A primary below the EWMA floor is healthy however it ranks:
 		// sub-floor disparities are device jitter, not straggling, and
 		// steering on them costs cross-disk locality for nothing.
-		if srv.win.DiskEWMA(primary) <= srv.cfg.SteerMinEwma {
+		if srv.win.DiskEWMA(primary) <= steerMinEwma {
 			return primary
 		}
 	}
@@ -162,14 +169,14 @@ func (sh *shard) steerBaseline() time.Duration {
 // SteerFactor times the baseline — the soft analog of diskBlocked the
 // admission loop uses to deprioritize slow-but-alive disks. Unseeded
 // disks are never slow (satellite of the unseeded-reads-zero fix),
-// and neither is any disk below the SteerMinEwma floor.
+// and neither is any disk below the steerMinEwma floor.
 func (sh *shard) diskSlow(disk int, baseline time.Duration) bool {
 	srv := sh.srv
 	if baseline <= 0 || !srv.win.DiskEWMASeeded(disk) {
 		return false
 	}
 	e := srv.win.DiskEWMA(disk)
-	if e <= srv.cfg.SteerMinEwma {
+	if e <= steerMinEwma {
 		return false
 	}
 	return float64(e) > srv.cfg.SteerFactor*float64(baseline)
@@ -189,9 +196,9 @@ func (sh *shard) armSpeculation(st *stream, b *buffer) {
 	if srv.cfg.SpecQuantile <= 0 || srv.win == nil || len(srv.replicaSet(b.disk)) < 2 {
 		return
 	}
-	if srv.win.DiskEWMA(b.readDisk) <= srv.cfg.SteerMinEwma {
+	if srv.win.DiskEWMA(b.readDisk) <= steerMinEwma {
 		// Same floor as steering: a disk whose fetches complete below
-		// SteerMinEwma cannot meaningfully straggle mid-flight, and the
+		// steerMinEwma cannot meaningfully straggle mid-flight, and the
 		// per-fetch arm-then-cancel timer is the dominant cost of
 		// speculation on a healthy fleet. A disk that does slow down
 		// lifts its EWMA past the floor within a few samples and
@@ -355,8 +362,6 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 			b.cancelTimeout = nil
 		}
 		st.fetchInFlight = false
-		srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: sp.disk, Offset: b.start,
-			Length: b.size(), Start: sp.issuedAt, End: now, Err: derr.Error()})
 		if sh.fr != nil {
 			sh.fr.Record(flight.Event{Op: flight.OpFetchErr, Err: flight.ErrIO, Disk: uint16(sp.disk),
 				Stream: int32(st.id), Offset: b.start, Length: b.size(), T: now, Dur: now - sp.issuedAt})
@@ -415,8 +420,6 @@ func (sh *shard) onSpecDone(st *stream, b *buffer, sp *specFetch, data []byte, d
 	if w := srv.win; w != nil {
 		w.observeFetch(sp.disk, now, now-sp.issuedAt)
 	}
-	srv.traceEvent(trace.Event{Kind: trace.KindFetch, Stream: st.id, Disk: sp.disk, Offset: b.start,
-		Length: b.size(), Start: sp.issuedAt, End: now})
 	if sh.fr != nil {
 		sh.fr.Record(flight.Event{Op: flight.OpSpecWin, Disk: uint16(sp.disk),
 			Stream: int32(st.id), Offset: b.start, Length: b.size(), T: now, Dur: now - sp.issuedAt})

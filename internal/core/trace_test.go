@@ -1,63 +1,71 @@
 package core
 
 import (
-	"bytes"
-	"strings"
 	"testing"
 
-	"seqstream/internal/trace"
+	"seqstream/internal/flight"
 )
 
+// TestServerTracing follows 24 traced reads of one stream through the
+// flight recorder: every trace id completes once, the first
+// DetectThreshold as direct reads and the rest from staged buffers.
 func TestServerTracing(t *testing.T) {
-	tr, err := trace.New(4096)
+	n := baseNode(t, DefaultConfig(64<<20, 1<<20))
+	rec, err := flight.New(n.clock.Now, 1, 4096)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(64<<20, 1<<20)
-	cfg.Trace = tr
-	n := baseNode(t, cfg)
+	cfg.Flight = rec
+	srv, err := NewServer(n.dev, n.clock, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.server.Close()
+	n.server = srv
+	t.Cleanup(srv.Close)
 
 	const req = 64 << 10
 	for i := 0; i < 24; i++ {
-		n.do(t, Request{Disk: 0, Offset: int64(i) * req, Length: req})
+		n.do(t, Request{Disk: 0, Offset: int64(i) * req, Length: req, Trace: rec.NextTrace()})
 	}
-	sum := tr.Summarize()
-	if sum.Clients != 24 {
-		t.Errorf("traced clients = %d, want 24", sum.Clients)
-	}
-	if sum.Fetches == 0 {
-		t.Error("no fetch events traced")
-	}
-	if sum.Directs != n.server.Config().DetectThreshold {
-		t.Errorf("traced directs = %d, want threshold %d", sum.Directs, n.server.Config().DetectThreshold)
-	}
-	if sum.ClientHit == 0 {
-		t.Error("no staged hits traced")
-	}
-	if sum.Errors != 0 {
-		t.Errorf("traced errors = %d", sum.Errors)
-	}
-	// Latencies must be non-negative and ordered sanely.
-	for _, e := range tr.Snapshot() {
-		if e.Latency() < 0 {
-			t.Fatalf("negative latency: %+v", e)
+	var fetches, directs, hits int
+	completed := make(map[uint64]int)
+	for _, e := range rec.Snapshot().Merged() {
+		if e.Err != flight.ErrNone {
+			t.Errorf("error event: %+v", e)
+		}
+		if e.Dur < 0 {
+			t.Fatalf("negative duration: %+v", e)
+		}
+		switch e.Op {
+		case flight.OpFetch:
+			fetches++
+		case flight.OpDirect:
+			directs++
+			completed[e.Trace]++
+		case flight.OpDeliver:
+			if e.Trace != 0 {
+				hits++
+				completed[e.Trace]++
+			}
 		}
 	}
-	// Exports work end to end.
-	var csvBuf, jsonBuf bytes.Buffer
-	if err := tr.WriteCSV(&csvBuf); err != nil {
-		t.Fatal(err)
+	if len(completed) != 24 {
+		t.Errorf("completed trace ids = %d, want 24", len(completed))
 	}
-	if err := tr.WriteJSONL(&jsonBuf); err != nil {
-		t.Fatal(err)
+	for id, c := range completed {
+		if id == 0 || c != 1 {
+			t.Errorf("trace id %d completed %d times", id, c)
+		}
 	}
-	if !strings.Contains(csvBuf.String(), "fetch") {
-		t.Error("csv export missing fetch rows")
+	if fetches == 0 {
+		t.Error("no fetch events recorded")
 	}
-}
-
-func TestServerTracingDisabledByDefault(t *testing.T) {
-	n := baseNode(t, DefaultConfig(64<<20, 1<<20))
-	// No tracer: nothing to assert beyond not panicking.
-	n.do(t, Request{Disk: 0, Offset: 0, Length: 4096})
+	if directs != srv.Config().DetectThreshold {
+		t.Errorf("direct events = %d, want threshold %d", directs, srv.Config().DetectThreshold)
+	}
+	if hits == 0 {
+		t.Error("no traced staged hits recorded")
+	}
 }

@@ -31,8 +31,10 @@ type diskWindow struct {
 }
 
 // newLatencyWindows sizes the per-disk slice for disks and builds
-// every window over the injected clock.
-func newLatencyWindows(now func() time.Duration, span time.Duration, buckets, disks int) (*LatencyWindows, error) {
+// every window over the injected clock with obs.DefaultWindowBuckets
+// ring slots.
+func newLatencyWindows(now func() time.Duration, span time.Duration, disks int) (*LatencyWindows, error) {
+	const buckets = obs.DefaultWindowBuckets
 	w := &LatencyWindows{span: span, disks: make([]diskWindow, disks)}
 	var err error
 	if w.request, err = obs.NewWindowedHistogram(now, span, buckets); err != nil {

@@ -112,11 +112,6 @@ func TestWindowConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("negative WindowSpan accepted")
 	}
-	cfg = DefaultConfig(64<<20, 1<<20)
-	cfg.WindowBuckets = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative WindowBuckets accepted")
-	}
 	// WindowSpan too short for the bucket count fails server build.
 	dev, err := blockdev.NewMemDevice(1, 1<<30, 0, true)
 	if err != nil {

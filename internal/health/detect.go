@@ -12,7 +12,6 @@ package health
 import (
 	"fmt"
 	"sort"
-	"time"
 
 	"seqstream/internal/flight"
 	"seqstream/internal/obs"
@@ -351,17 +350,6 @@ func (d *Detectors) DiskSpeculations(disk uint16) int { return d.specs[disk] }
 // DiskSpecWins returns how many speculative legs disk delivered first
 // as a replica.
 func (d *Detectors) DiskSpecWins(disk uint16) int { return d.specWins[disk] }
-
-// DiskFetchMedian returns the bucketed median fetch latency the
-// straggler detector holds for disk, zero with no samples. The rollup
-// uses it to enrich per-disk reports.
-func (d *Detectors) DiskFetchMedian(disk uint16) time.Duration {
-	h := d.diskLat[disk]
-	if h == nil {
-		return 0
-	}
-	return h.Quantile(0.5)
-}
 
 // Detect runs all four detectors over an event slice (a snapshot's
 // Merged() output, or any event list — it is re-sorted by Seq before

@@ -14,12 +14,12 @@ import (
 	"seqstream/internal/metrics"
 	"seqstream/internal/netserve"
 	"seqstream/internal/sim"
-	"seqstream/internal/trace"
 	"seqstream/internal/workload"
 )
 
 // TestFullSimStack runs workload -> core -> iostack with metrics and
-// tracing and cross-checks every layer's accounting.
+// every request traced through the flight recorder, and cross-checks
+// every layer's accounting.
 func TestFullSimStack(t *testing.T) {
 	eng := sim.NewEngine()
 	host, err := iostack.New(eng, iostack.MediumConfig(iostack.Options{}))
@@ -30,21 +30,31 @@ func TestFullSimStack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := trace.New(1 << 16)
+	clock := blockdev.NewSimClock(eng)
+	// One ring per shard, each large enough that the cursors below can
+	// prove no event was overwritten.
+	fr, err := flight.New(clock.Now, dev.Disks(), 1<<13)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cursors := make([]*flight.Cursor, fr.Rings())
+	for i := range cursors {
+		cursors[i] = fr.Ring(i).NewCursor()
+	}
 	cfg := core.DefaultConfig(256<<20, 1<<20)
-	cfg.Trace = tr
-	node, err := core.NewServer(dev, blockdev.NewSimClock(eng), cfg)
+	cfg.Flight = fr
+	node, err := core.NewServer(dev, clock, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer node.Close()
 
 	rec := metrics.NewRecorder()
-	gen, err := workload.NewGenerator(blockdev.NewSimClock(eng), func(disk int, off, length int64, done func()) error {
-		return node.Submit(core.Request{Disk: disk, Offset: off, Length: length,
+	traced := make(map[uint64]int)
+	gen, err := workload.NewGenerator(clock, func(disk int, off, length int64, done func()) error {
+		id := fr.NextTrace()
+		traced[id] = 0
+		return node.Submit(core.Request{Disk: disk, Offset: off, Length: length, Trace: id,
 			Done: func(core.Response) { done() }})
 	}, rec)
 	if err != nil {
@@ -86,7 +96,7 @@ func TestFullSimStack(t *testing.T) {
 	}
 
 	// Drain in-flight prefetches and GC before cross-checking the
-	// fetch-level layers (fetch traces record at completion).
+	// fetch-level layers.
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -106,16 +116,42 @@ func TestFullSimStack(t *testing.T) {
 		t.Error("nothing served from staged buffers")
 	}
 
-	// Layer 3: trace agrees with stats.
-	sum := tr.Summarize()
-	if int64(sum.Clients) != total {
-		t.Errorf("traced clients = %d, want %d", sum.Clients, total)
+	// Layer 3: the flight recorder agrees with stats.
+	var events []flight.Event
+	for _, c := range cursors {
+		events = c.Poll(events)
+		if c.Lost() != 0 {
+			t.Fatalf("flight ring lost %d events; the recorder is undersized", c.Lost())
+		}
 	}
-	if int64(sum.Fetches) != st.Fetches {
-		t.Errorf("traced fetches = %d, stats %d", sum.Fetches, st.Fetches)
+	var fetches, directs int64
+	for _, e := range events {
+		switch e.Op {
+		case flight.OpFetch:
+			fetches++
+		case flight.OpDirect:
+			directs++
+		}
+		if e.Trace != 0 && (e.Op == flight.OpDirect || e.Op == flight.OpDeliver) {
+			if _, ok := traced[e.Trace]; !ok {
+				t.Fatalf("completion for unknown trace id %d", e.Trace)
+			}
+			traced[e.Trace]++
+		}
 	}
-	if int64(sum.Directs) != st.DirectReads {
-		t.Errorf("traced directs = %d, stats %d", sum.Directs, st.DirectReads)
+	if int64(len(traced)) != total {
+		t.Errorf("traced requests = %d, want %d", len(traced), total)
+	}
+	for id, n := range traced {
+		if n != 1 {
+			t.Errorf("trace id %d completed %d times, want 1", id, n)
+		}
+	}
+	if fetches != st.Fetches {
+		t.Errorf("fetch events = %d, stats %d", fetches, st.Fetches)
+	}
+	if directs != st.DirectReads {
+		t.Errorf("direct events = %d, stats %d", directs, st.DirectReads)
 	}
 
 	// Layer 4: simulated drives actually moved the bytes.

@@ -7,6 +7,7 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"sort"
 	"time"
 )
@@ -38,27 +39,12 @@ func (l *LatencySummary) Observe(d time.Duration) {
 	l.buckets[bucketOf(d)]++
 }
 
+// bucketOf returns ⌊log2 d⌋ in nanoseconds, 0 for d <= 0.
 func bucketOf(d time.Duration) int {
-	n := int64(d)
-	if n <= 0 {
+	if d <= 0 {
 		return 0
 	}
-	b := 63 - leadingZeros(uint64(n))
-	if b > 63 {
-		b = 63
-	}
-	return b
-}
-
-func leadingZeros(x uint64) int {
-	n := 0
-	for i := 63; i >= 0; i-- {
-		if x&(1<<uint(i)) != 0 {
-			return n
-		}
-		n++
-	}
-	return 64
+	return bits.Len64(uint64(d)) - 1
 }
 
 // Count returns the number of samples.

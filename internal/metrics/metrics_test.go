@@ -252,3 +252,33 @@ func TestBucketOf(t *testing.T) {
 		t.Errorf("bucketOf(1024ns) = %d, want 10", bucketOf(time.Duration(1024)))
 	}
 }
+
+// shiftLoopBucket is bucketOf's former leading-zeros loop, kept as the
+// reference the bits.Len64 form must match.
+func shiftLoopBucket(d time.Duration) int {
+	n := int64(d)
+	if n <= 0 {
+		return 0
+	}
+	lz := 64
+	for i := 63; i >= 0; i-- {
+		if uint64(n)&(1<<uint(i)) != 0 {
+			lz = 63 - i
+			break
+		}
+	}
+	return 63 - lz
+}
+
+func TestBucketOfMatchesShiftLoop(t *testing.T) {
+	cases := []time.Duration{0, -1, 1, math.MaxInt64}
+	for k := 1; k <= 62; k++ {
+		p := time.Duration(1) << k
+		cases = append(cases, p-1, p, p+1)
+	}
+	for _, d := range cases {
+		if got, want := bucketOf(d), shiftLoopBucket(d); got != want {
+			t.Errorf("bucketOf(%d) = %d, want %d", int64(d), got, want)
+		}
+	}
+}

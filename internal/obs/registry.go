@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"sort"
 	"strconv"
 	"sync"
@@ -69,17 +70,13 @@ func (h *Histogram) Observe(d time.Duration) {
 	h.buckets[histBucketOf(d)].Add(1)
 }
 
+// histBucketOf returns ⌊log2 d⌋ in nanoseconds: 0 for zero, and 63
+// for a negative d (read as its two's-complement bits).
 func histBucketOf(d time.Duration) int {
-	n := uint64(d)
-	if n == 0 {
+	if d == 0 {
 		return 0
 	}
-	b := 63
-	for n&(1<<63) == 0 {
-		n <<= 1
-		b--
-	}
-	return b
+	return bits.Len64(uint64(d)) - 1
 }
 
 // Count returns the number of samples.

@@ -250,3 +250,31 @@ func TestVars(t *testing.T) {
 		t.Fatalf("histogram count var = %v, want 1", hv["count"])
 	}
 }
+
+// shiftLoopBucket is histBucketOf's former shift loop, kept as the
+// reference the bits.Len64 form must match.
+func shiftLoopBucket(d time.Duration) int {
+	n := uint64(d)
+	if n == 0 {
+		return 0
+	}
+	b := 63
+	for n&(1<<63) == 0 {
+		n <<= 1
+		b--
+	}
+	return b
+}
+
+func TestHistBucketOfMatchesShiftLoop(t *testing.T) {
+	cases := []time.Duration{0, -1, 1, math.MaxInt64}
+	for k := 1; k <= 62; k++ {
+		p := time.Duration(1) << k
+		cases = append(cases, p-1, p, p+1)
+	}
+	for _, d := range cases {
+		if got, want := histBucketOf(d), shiftLoopBucket(d); got != want {
+			t.Errorf("histBucketOf(%d) = %d, want %d", int64(d), got, want)
+		}
+	}
+}
