@@ -31,7 +31,7 @@ func startNode(t *testing.T) *netserve.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(ing.Close)
-	srv, err := netserve.NewServer(node, "127.0.0.1:0")
+	srv, err := netserve.NewServerOpts(node, "127.0.0.1:0", netserve.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

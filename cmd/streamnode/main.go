@@ -273,7 +273,12 @@ func build(p buildParams) (*node, error) {
 	out := &node{}
 	var dev blockdev.Device
 	if p.files != "" {
-		fd, err := blockdev.OpenFileDevice(strings.Split(p.files, ","), 0)
+		// Ingest writes through to the files, so they open read-write.
+		open := blockdev.OpenFileDevice
+		if p.ingest {
+			open = blockdev.OpenFileDeviceRW
+		}
+		fd, err := open(strings.Split(p.files, ","), 0)
 		if err != nil {
 			return nil, err
 		}

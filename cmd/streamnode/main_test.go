@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -29,7 +30,7 @@ func TestBuildAndServe(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	client, err := netserve.Dial(nd.srv.Addr())
+	client, err := netserve.DialOpts(nd.srv.Addr(), netserve.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +71,7 @@ func TestDebugEndpoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	client, err := netserve.Dial(nd.srv.Addr())
+	client, err := netserve.DialOpts(nd.srv.Addr(), netserve.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +182,7 @@ func TestSpanLogSink(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := netserve.Dial(nd.srv.Addr())
+	client, err := netserve.DialOpts(nd.srv.Addr(), netserve.ClientOptions{})
 	if err != nil {
 		nd.Close()
 		t.Fatal(err)
@@ -233,7 +234,7 @@ func TestBuildWithIngest(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	client, err := netserve.Dial(nd.srv.Addr())
+	client, err := netserve.DialOpts(nd.srv.Addr(), netserve.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,6 +245,50 @@ func TestBuildWithIngest(t *testing.T) {
 	nd.ingest.Flush()
 	if nd.ingest.Stats().Writes != 64 {
 		t.Errorf("ingest writes = %d", nd.ingest.Stats().Writes)
+	}
+}
+
+// TestBuildWithIngestFiles writes through a file-backed node: every
+// acknowledged write must land in the file.
+func TestBuildWithIngestFiles(t *testing.T) {
+	const size = 4 << 20
+	path := filepath.Join(t.TempDir(), "disk0.img")
+	if err := os.WriteFile(path, bytes.Repeat([]byte{0xa5}, size), 0o600); err != nil {
+		t.Fatal(err)
+	}
+	p := testParams()
+	p.files = path
+	p.ingest = true
+	p.chunk = "1MiB"
+	nd, err := build(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nd.Close()
+	client, err := netserve.DialOpts(nd.srv.Addr(), netserve.ClientOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+	// Two streams of 16 × 64 KiB: [0, 1 MiB) and [2 MiB, 3 MiB).
+	if err := client.RunStreams(0, size, 2, 16, 64<<10, netserve.FlagWrite); err != nil {
+		t.Fatalf("write streams: %v", err)
+	}
+	nd.ingest.Flush()
+	if st := nd.ingest.Stats(); st.Writes != 32 || st.Errors != 0 {
+		t.Fatalf("ingest writes = %d, errors = %d; want 32 and 0", st.Writes, st.Errors)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range [][2]int{{0, 1 << 20}, {2 << 20, 3 << 20}} {
+		for off := r[0]; off < r[1]; off++ {
+			if got[off] != 0 {
+				t.Errorf("byte %d of written range [%d, %d) is %#x, want 0", off, r[0], r[1], got[off])
+				break
+			}
+		}
 	}
 }
 
@@ -286,7 +331,7 @@ func TestBuildWithFaultScript(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nd.Close()
-	client, err := netserve.Dial(nd.srv.Addr())
+	client, err := netserve.DialOpts(nd.srv.Addr(), netserve.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

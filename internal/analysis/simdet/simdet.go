@@ -23,7 +23,6 @@ var GatedPackages = []string{
 	"seqstream/internal/controller",
 	"seqstream/internal/bus",
 	"seqstream/internal/geom",
-	"seqstream/internal/workload",
 	"seqstream/internal/blockdev",
 	// obs is deliberately clock-free (SpanLog takes an injected `now`
 	// func), so simulation code can instrument without breaking

@@ -61,9 +61,6 @@ func TestSimDevice(t *testing.T) {
 	if dev.Capacity(0) <= 0 {
 		t.Error("nonpositive capacity")
 	}
-	if dev.Host() == nil {
-		t.Error("nil host accessor")
-	}
 	var got bool
 	if err := dev.ReadAt(0, 0, 64<<10, func(data []byte, err error) {
 		if err != nil {
@@ -82,9 +79,21 @@ func TestSimDevice(t *testing.T) {
 	if !got {
 		t.Error("no completion")
 	}
-	dev.SetLiveBuffers(7)
-	if dev.Host().LiveBuffers() != 7 {
-		t.Error("SetLiveBuffers not forwarded")
+	// The host's CPU model charges each request per live buffer, so a
+	// forwarded count shows up in the request's CPU time.
+	charge := func(live int) time.Duration {
+		dev.SetLiveBuffers(live)
+		start := eng.Now()
+		var end time.Duration
+		dev.ChargeRequest(0, func() { end = eng.Now() })
+		if err := eng.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return end - start
+	}
+	if extra := charge(7) - charge(0); extra != 7*iostack.DefaultCPU().PerLiveBuffer {
+		t.Errorf("7 live buffers added %v of CPU time, want %v: SetLiveBuffers not forwarded",
+			extra, 7*iostack.DefaultCPU().PerLiveBuffer)
 	}
 }
 

@@ -40,11 +40,16 @@ type fileReq struct {
 }
 
 // FileDevice serves reads from one file per "disk" using a bounded
-// worker pool with direct positional reads (the §4.4 design: direct
-// asynchronous I/O, no shared kernel buffering managed by us).
+// worker pool of positional reads. It is not direct I/O: files open
+// with plain O_RDONLY (or O_RDWR), so every read goes through the
+// kernel page cache, unlike the paper's §4.4 direct asynchronous I/O.
+// Submission is not asynchronous either: ReadAt, ReadInto and WriteAt
+// hold the device mutex across an unbuffered channel send, so a
+// submitter blocks until a worker is free.
 //
-// It exists so the examples can exercise the exact scheduler code path
-// against a real OS; it is not part of the simulation.
+// It exists so the examples and streamnode -files can exercise the
+// exact scheduler code path against a real OS; it is not part of the
+// simulation.
 type FileDevice struct {
 	files []*os.File
 	caps  []int64

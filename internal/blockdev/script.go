@@ -9,12 +9,16 @@ import (
 	"time"
 )
 
+// ErrInjected is the error a scripted fault delivers by default: the
+// read completes exactly once, carrying this error instead of data.
+var ErrInjected = errors.New("blockdev: injected fault")
+
 // ErrInjectedPersistent is the error a scripted fault delivers when the
 // rule is classed persistent: retrying the read cannot succeed.
 var ErrInjectedPersistent = errors.New("blockdev: injected persistent fault")
 
 // IsTransient reports whether a device error is worth retrying: either
-// it is the classic injected fault (ErrInjected, transient by
+// it is the default injected fault (ErrInjected, transient by
 // convention) or it implements `Transient() bool` and says so.
 // Persistent injected faults, validation errors, and unknown errors are
 // not transient.
@@ -146,12 +150,11 @@ type ScriptDevice struct {
 	inner Device
 	clock Clock
 
-	mu      sync.Mutex
-	rules   []FaultRule
-	counts  []map[int]int64 // per-rule, per-disk accepted-read index (1-based)
-	faults  int64
-	delayed int64
-	hung    []hungRead
+	mu     sync.Mutex
+	rules  []FaultRule
+	counts []map[int]int64 // per-rule, per-disk accepted-read index (1-based)
+	faults int64
+	hung   []hungRead
 }
 
 // hungRead is a read the script refused to complete. buf is non-nil
@@ -225,13 +228,6 @@ func (d *ScriptDevice) Faults() int64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	return d.faults
-}
-
-// Delayed returns how many reads suffered a scripted latency spike.
-func (d *ScriptDevice) Delayed() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.delayed
 }
 
 // Hung returns how many reads are currently held by hang rules.
@@ -340,7 +336,6 @@ func (d *ScriptDevice) apply(disk int, off, length int64, buf []byte, done func(
 		d.mu.Unlock()
 		return nil
 	case FaultDelay:
-		d.delayed++
 		delay := rule.Delay
 		d.mu.Unlock()
 		d.clock.Schedule(delay, func() {

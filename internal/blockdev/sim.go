@@ -65,9 +65,6 @@ func NewSimDevice(host *iostack.Host) (*SimDevice, error) {
 	return &SimDevice{host: host}, nil
 }
 
-// Host returns the underlying simulated host.
-func (d *SimDevice) Host() *iostack.Host { return d.host }
-
 // Disks implements Device.
 func (d *SimDevice) Disks() int { return d.host.NumDisks() }
 

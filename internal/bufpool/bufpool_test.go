@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"seqstream/internal/invariants"
-	"seqstream/internal/obs"
 )
 
 func TestClassFor(t *testing.T) {
@@ -145,20 +144,4 @@ func TestConcurrentChurn(t *testing.T) {
 	if st := p.Stats(); st.CheckedOut != 0 || st.BytesOut != 0 {
 		t.Errorf("leaked checkouts: %+v", st)
 	}
-}
-
-func TestRegisterObs(t *testing.T) {
-	p := New()
-	reg := obs.NewRegistry()
-	RegisterObs(reg, p)
-	b := p.Get(4096)
-	vars := reg.Vars()
-	got, ok := vars["seqstream_bufpool_checked_out"].(float64)
-	if !ok {
-		t.Fatalf("checked_out gauge not registered: %T", vars["seqstream_bufpool_checked_out"])
-	}
-	if got != 1 {
-		t.Errorf("checked_out = %v with one live buffer", got)
-	}
-	b.Release()
 }

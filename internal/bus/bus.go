@@ -15,11 +15,8 @@ import (
 // the engine's event loop.
 type Bus struct {
 	eng       *sim.Engine
-	rate      float64 // bytes per second
-	busyUntil sim.Time
-
-	bytes     int64
-	transfers int64
+	rate      float64  // bytes per second
+	busyUntil sim.Time // the instant the current backlog drains
 }
 
 // New creates a bus with the given bandwidth in bytes/second.
@@ -31,30 +28,6 @@ func New(eng *sim.Engine, rate float64) (*Bus, error) {
 		return nil, errors.New("bus: rate must be positive")
 	}
 	return &Bus{eng: eng, rate: rate}, nil
-}
-
-// Rate returns the bandwidth in bytes/second.
-func (b *Bus) Rate() float64 { return b.rate }
-
-// Bytes returns total bytes moved.
-func (b *Bus) Bytes() int64 { return b.bytes }
-
-// Transfers returns the number of completed or scheduled transfers.
-func (b *Bus) Transfers() int64 { return b.transfers }
-
-// Utilization returns the fraction of time the bus has been busy since
-// the start of the simulation.
-func (b *Bus) Utilization() float64 {
-	now := b.eng.Now()
-	if now == 0 {
-		return 0
-	}
-	busy := time.Duration(float64(b.bytes) / b.rate * float64(time.Second))
-	u := float64(busy) / float64(now)
-	if u > 1 {
-		u = 1
-	}
-	return u
 }
 
 // Transfer schedules moving n bytes across the link and invokes done
@@ -69,9 +42,7 @@ func (b *Bus) Transfer(n int64, done func()) {
 	var dur time.Duration
 	if n > 0 {
 		dur = time.Duration(float64(n) / b.rate * float64(time.Second))
-		b.bytes += n
 	}
-	b.transfers++
 	b.busyUntil = start + dur
 	end := b.busyUntil
 	b.eng.ScheduleAt(end, func() {
@@ -80,6 +51,3 @@ func (b *Bus) Transfer(n int64, done func()) {
 		}
 	})
 }
-
-// BusyUntil returns the instant the current backlog drains.
-func (b *Bus) BusyUntil() sim.Time { return b.busyUntil }

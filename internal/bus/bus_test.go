@@ -74,37 +74,8 @@ func TestTransferZeroBytes(t *testing.T) {
 	if !called {
 		t.Error("zero-byte transfer never completed")
 	}
-	if b.Bytes() != 0 {
-		t.Errorf("Bytes = %d, want 0", b.Bytes())
-	}
-	if b.Transfers() != 2 {
-		t.Errorf("Transfers = %d, want 2", b.Transfers())
-	}
-}
-
-func TestUtilization(t *testing.T) {
-	eng := sim.NewEngine()
-	b, err := New(eng, 100e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Utilization() != 0 {
-		t.Error("idle bus should have 0 utilization")
-	}
-	b.Transfer(50e6, nil)
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Bus was busy the whole run.
-	if u := b.Utilization(); u < 0.99 || u > 1 {
-		t.Errorf("Utilization = %v, want ~1", u)
-	}
-	// Let the clock idle past the backlog; utilization must fall.
-	if err := eng.RunFor(500 * time.Millisecond); err != nil {
-		t.Fatal(err)
-	}
-	if u := b.Utilization(); u < 0.45 || u > 0.55 {
-		t.Errorf("Utilization after idle = %v, want ~0.5", u)
+	if b.busyUntil != 0 {
+		t.Errorf("zero-byte transfers left a backlog until %v", b.busyUntil)
 	}
 }
 
@@ -115,10 +86,7 @@ func TestBusyUntil(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.Transfer(100e6, nil)
-	if b.BusyUntil() != time.Second {
-		t.Errorf("BusyUntil = %v, want 1s", b.BusyUntil())
-	}
-	if b.Rate() != 100e6 {
-		t.Errorf("Rate = %v", b.Rate())
+	if b.busyUntil != time.Second {
+		t.Errorf("backlog drains at %v, want 1s", b.busyUntil)
 	}
 }

@@ -190,20 +190,11 @@ func New(eng *sim.Engine, cfg Config, disks []*disk.Disk) (*Controller, error) {
 	return c, nil
 }
 
-// Config returns the controller configuration.
-func (c *Controller) Config() Config { return c.cfg }
-
 // Disks returns the number of attached drives.
 func (c *Controller) Disks() int { return len(c.disks) }
 
 // Disk returns the i-th attached drive.
 func (c *Controller) Disk(i int) *disk.Disk { return c.disks[i] }
-
-// Stats returns a copy of the counters.
-func (c *Controller) Stats() Stats { return c.stats }
-
-// Link returns the host link (for utilization inspection).
-func (c *Controller) Link() *bus.Bus { return c.link }
 
 // Submit issues a read of [off, off+n) on drive diskID. done fires on
 // the engine loop after the data has crossed the host link.
@@ -526,11 +517,4 @@ func (c *Controller) reserveExtent(diskID int, start, end int64) (*extent, uint6
 	c.seq++
 	c.extents[victim] = extent{diskID: diskID, start: start, end: end, useSeq: c.seq, reserved: true}
 	return &c.extents[victim], c.seq
-}
-
-// InvalidateCache drops all cached extents.
-func (c *Controller) InvalidateCache() {
-	for i := range c.extents {
-		c.extents[i] = extent{}
-	}
 }

@@ -92,7 +92,7 @@ func TestSubmitOutOfRangePropagates(t *testing.T) {
 	if err := c.Submit(0, cap, 4096, nil); err == nil {
 		t.Error("out-of-range offset accepted")
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Requests != 0 || st.Misses != 0 || st.BytesDisks != 0 {
 		t.Errorf("failed submit leaked stats: %+v", st)
 	}
@@ -116,8 +116,8 @@ func TestPassThroughRead(t *testing.T) {
 	if res.End <= res.Start {
 		t.Error("nonpositive latency")
 	}
-	if c.Stats().BytesHost != 64<<10 {
-		t.Errorf("BytesHost = %d", c.Stats().BytesHost)
+	if c.stats.BytesHost != 64<<10 {
+		t.Errorf("BytesHost = %d", c.stats.BytesHost)
 	}
 }
 
@@ -140,7 +140,7 @@ func TestControllerReadAheadHits(t *testing.T) {
 	if hits != 15 {
 		t.Errorf("controller hits = %d, want 15", hits)
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Misses != 1 {
 		t.Errorf("misses = %d, want 1", st.Misses)
 	}
@@ -184,7 +184,7 @@ func TestControllerCacheThrash(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		st := c.Stats()
+		st := c.stats
 		return st.CacheHits + st.Coalesced, st.Misses
 	}
 	bigHits, bigMiss := run(16 << 20)    // 16 extents >= 8 streams
@@ -223,26 +223,6 @@ func TestHostLinkSerializes(t *testing.T) {
 	}
 }
 
-func TestInvalidateCache(t *testing.T) {
-	eng, c := newSetup(t, 1, func(cfg *Config) { cfg.ReadAhead = 1 << 20 })
-	if err := c.Submit(0, 0, 64<<10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	c.InvalidateCache()
-	if err := c.Submit(0, 64<<10, 64<<10, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if c.Stats().CacheHits != 0 {
-		t.Error("hit after InvalidateCache")
-	}
-}
-
 func TestAccessors(t *testing.T) {
 	_, c := newSetup(t, 3, nil)
 	if c.Disks() != 3 {
@@ -250,11 +230,5 @@ func TestAccessors(t *testing.T) {
 	}
 	if c.Disk(1) == nil {
 		t.Error("nil disk accessor")
-	}
-	if c.Link() == nil {
-		t.Error("nil link")
-	}
-	if c.Config().HostRate != 450e6 {
-		t.Error("config passthrough broken")
 	}
 }

@@ -27,7 +27,7 @@ func TestObsMirrorsStats(t *testing.T) {
 		t.Fatalf("completed %d of 32", done)
 	}
 
-	st := c.Stats()
+	st := c.stats
 	if st.CacheHits == 0 && st.Coalesced == 0 {
 		t.Fatal("read-ahead produced no hits; workload untested")
 	}
@@ -69,7 +69,7 @@ func TestObsWriteAndRejectPaths(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := c.Stats()
+	st := c.stats
 	vars := reg.Vars()
 	if got := vars["seqstream_controller_requests_total"]; got != st.Requests {
 		t.Errorf("requests_total = %v, want %d", got, st.Requests)

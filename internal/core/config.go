@@ -334,9 +334,3 @@ func (c Config) Validate() error {
 	}
 	return nil
 }
-
-// MemoryFloor returns D*R*N, the memory the paper's invariant requires
-// for the configured dispatch set.
-func (c Config) MemoryFloor() int64 {
-	return int64(c.DispatchSize) * c.ReadAhead * int64(c.RequestsPerStream)
-}

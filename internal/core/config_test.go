@@ -21,9 +21,15 @@ func TestDefaultConfig(t *testing.T) {
 	if cfg.Policy == nil {
 		t.Error("nil policy after defaults")
 	}
-	if cfg.MemoryFloor() != 64<<20 {
-		t.Errorf("MemoryFloor = %d", cfg.MemoryFloor())
+	if floor := memoryFloor(cfg); floor != 64<<20 {
+		t.Errorf("D*R*N = %d", floor)
 	}
+}
+
+// memoryFloor returns D*R*N, the memory the paper's invariant requires
+// for the configured dispatch set.
+func memoryFloor(c Config) int64 {
+	return int64(c.DispatchSize) * c.ReadAhead * int64(c.RequestsPerStream)
 }
 
 func TestDeriveDispatch(t *testing.T) {

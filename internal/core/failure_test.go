@@ -143,8 +143,8 @@ func TestHungFetchTimesOutAndStreamCollects(t *testing.T) {
 	if err := n.eng.RunFor(2 * time.Minute); err != nil {
 		t.Fatal(err)
 	}
-	if got := n.server.ActiveStreams(); got != 0 {
-		t.Errorf("ActiveStreams = %d after timeout+idle, want 0", got)
+	if got := n.server.liveStreams.Load(); got != 0 {
+		t.Errorf("live streams = %d after timeout+idle, want 0", got)
 	}
 	if st := n.server.Stats(); st.StreamsGCed == 0 {
 		t.Error("hung stream was not garbage collected")

@@ -9,8 +9,9 @@ import (
 	"seqstream/internal/sim"
 )
 
-// faultNode builds a node whose device fails every Nth read.
-func faultNode(t *testing.T, every int64, cfg Config) (*testNode, *blockdev.FaultDevice) {
+// faultNode builds a node whose device fails every Nth read: the Nth,
+// 2Nth, 3Nth, ... read of each disk completes with ErrInjected.
+func faultNode(t *testing.T, every int64, cfg Config) (*testNode, *blockdev.ScriptDevice) {
 	t.Helper()
 	eng := sim.NewEngine()
 	host, err := iostack.New(eng, iostack.BaseConfig(iostack.Options{}))
@@ -21,29 +22,19 @@ func faultNode(t *testing.T, every int64, cfg Config) (*testNode, *blockdev.Faul
 	if err != nil {
 		t.Fatal(err)
 	}
-	fdev, err := blockdev.NewFaultDevice(simDev, every)
+	clock := blockdev.NewSimClock(eng)
+	fdev, err := blockdev.NewScriptDevice(simDev, clock, []blockdev.FaultRule{
+		{Disk: -1, Mode: blockdev.FaultError, From: every, Every: every},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	clock := blockdev.NewSimClock(eng)
 	srv, err := NewServer(fdev, clock, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(srv.Close)
 	return &testNode{eng: eng, host: host, dev: simDev, clock: clock, server: srv}, fdev
-}
-
-func TestFaultDeviceValidation(t *testing.T) {
-	if _, err := blockdev.NewFaultDevice(nil, 2); err == nil {
-		t.Error("nil inner accepted")
-	}
-	eng := sim.NewEngine()
-	host, _ := iostack.New(eng, iostack.BaseConfig(iostack.Options{}))
-	dev, _ := blockdev.NewSimDevice(host)
-	if _, err := blockdev.NewFaultDevice(dev, 0); err == nil {
-		t.Error("zero period accepted")
-	}
 }
 
 func TestDirectReadErrorPropagates(t *testing.T) {
@@ -83,7 +74,9 @@ func TestFetchErrorFailsWaitersAndRecovers(t *testing.T) {
 	}
 
 	// Stop faulting: the node must return to full health.
-	fdev.StopFaulting()
+	if err := fdev.SetRules(nil); err != nil {
+		t.Fatal(err)
+	}
 	healthy := 0
 	for i := 64; i < 96; i++ {
 		r := n.do(t, Request{Disk: 0, Offset: int64(i) * req, Length: req})
@@ -120,7 +113,7 @@ func TestHeavyFaultsNeverWedgeDispatch(t *testing.T) {
 	if completed != 80 {
 		t.Fatalf("completed = %d", completed)
 	}
-	if n.server.DispatchedStreams() < 0 {
+	if n.server.dispatched.Load() < 0 {
 		t.Error("dispatch accounting corrupted")
 	}
 }

@@ -268,11 +268,20 @@ func TestObsSpansReconstructLifecycle(t *testing.T) {
 	n, _, spans := obsNode(t, cfg)
 	n.runStreams(t, 2, 16)
 
-	ids := spans.Streams()
-	if len(ids) == 0 {
+	events := spans.Snapshot()
+	if len(events) == 0 {
 		t.Fatal("no stream spans recorded")
 	}
-	tl := spans.Timeline(ids[0])
+	first := events[0].Stream
+	for _, e := range events {
+		first = min(first, e.Stream)
+	}
+	var tl []obs.SpanEvent
+	for _, e := range events {
+		if e.Stream == first {
+			tl = append(tl, e)
+		}
+	}
 	seen := make(map[obs.Stage]bool)
 	for _, e := range tl {
 		seen[e.Stage] = true
@@ -280,7 +289,7 @@ func TestObsSpansReconstructLifecycle(t *testing.T) {
 	for _, want := range []obs.Stage{obs.StageClassify, obs.StageEnqueue, obs.StageDispatch,
 		obs.StageFetch, obs.StageStaged, obs.StageDeliver} {
 		if !seen[want] {
-			t.Errorf("stream %d timeline missing stage %v (stages: %v)", ids[0], want, tl)
+			t.Errorf("stream %d timeline missing stage %v (stages: %v)", first, want, tl)
 		}
 	}
 	// The first event of a stream's life is its classification.
@@ -387,8 +396,8 @@ func TestSnapshotConsistency(t *testing.T) {
 	if snap.Stats.Requests != n.server.Stats().Requests {
 		t.Error("snapshot counters disagree with Stats")
 	}
-	if snap.ActiveStreams != n.server.ActiveStreams() {
-		t.Error("snapshot gauge disagrees with ActiveStreams")
+	if snap.ActiveStreams != int(n.server.liveStreams.Load()) {
+		t.Error("snapshot gauge disagrees with the live stream count")
 	}
 	if snap.DispatchedStreams < 0 || snap.DispatchedStreams > cfg.DispatchSize {
 		t.Errorf("dispatched = %d outside [0, D]", snap.DispatchedStreams)

@@ -98,11 +98,11 @@ func runWorkload(t *testing.T, seed uint64, cfg Config) Stats {
 	if st.PeakMemory > cfg.Memory {
 		t.Errorf("seed %d: PeakMemory %d exceeds M %d", seed, st.PeakMemory, cfg.Memory)
 	}
-	if got := n.server.DispatchedStreams(); got != 0 {
+	if got := n.server.dispatched.Load(); got != 0 {
 		t.Errorf("seed %d: %d streams still dispatched", seed, got)
 	}
-	if n.host.LiveBuffers() != 0 {
-		t.Errorf("seed %d: host live buffers = %d", seed, n.host.LiveBuffers())
+	if n.probe.live != 0 {
+		t.Errorf("seed %d: device live buffers = %d", seed, n.probe.live)
 	}
 	return st
 }

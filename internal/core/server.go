@@ -479,12 +479,6 @@ func (s *Server) Snapshot() Snapshot {
 	return snap
 }
 
-// ActiveStreams returns the number of classified streams.
-func (s *Server) ActiveStreams() int { return int(s.liveStreams.Load()) }
-
-// DispatchedStreams returns the current dispatch-set size.
-func (s *Server) DispatchedStreams() int { return int(s.dispatched.Load()) }
-
 // Close stops the garbage collectors. In-flight requests still
 // complete; new submissions are rejected. Buffered span-log entries
 // are flushed to the log's sink so shutdown loses no lifecycle events.

@@ -15,6 +15,20 @@ type testNode struct {
 	dev    *blockdev.SimDevice
 	clock  blockdev.Clock
 	server *Server
+	// probe sits between server and dev on nodes built by newNode.
+	probe *liveBufferProbe
+}
+
+// liveBufferProbe passes a SimDevice through and remembers the last
+// live-buffer count the server forwarded to it.
+type liveBufferProbe struct {
+	*blockdev.SimDevice
+	live int
+}
+
+func (p *liveBufferProbe) SetLiveBuffers(n int) {
+	p.live = n
+	p.SimDevice.SetLiveBuffers(n)
 }
 
 func newNode(t *testing.T, stackCfg iostack.Config, cfg Config) *testNode {
@@ -29,12 +43,13 @@ func newNode(t *testing.T, stackCfg iostack.Config, cfg Config) *testNode {
 		t.Fatalf("NewSimDevice: %v", err)
 	}
 	clock := blockdev.NewSimClock(eng)
-	srv, err := NewServer(dev, clock, cfg)
+	probe := &liveBufferProbe{SimDevice: dev}
+	srv, err := NewServer(probe, clock, cfg)
 	if err != nil {
 		t.Fatalf("NewServer: %v", err)
 	}
 	t.Cleanup(srv.Close)
-	return &testNode{eng: eng, host: host, dev: dev, clock: clock, server: srv}
+	return &testNode{eng: eng, host: host, dev: dev, clock: clock, server: srv, probe: probe}
 }
 
 func baseNode(t *testing.T, cfg Config) *testNode {
@@ -320,7 +335,7 @@ func TestDispatchSetBounded(t *testing.T) {
 			Disk: 0, Offset: base + int64(i)*64<<10, Length: 64 << 10,
 			Done: func(Response) {
 				completed++
-				if d := n.server.DispatchedStreams(); d > maxDispatched {
+				if d := int(n.server.dispatched.Load()); d > maxDispatched {
 					maxDispatched = d
 				}
 				issue(s, i+1)
@@ -387,8 +402,8 @@ func TestGCFreesIdleBuffers(t *testing.T) {
 	if st.MemoryInUse != 0 {
 		t.Errorf("MemoryInUse = %d after GC, want 0", st.MemoryInUse)
 	}
-	if n.server.ActiveStreams() != 0 {
-		t.Errorf("ActiveStreams = %d after GC", n.server.ActiveStreams())
+	if got := n.server.liveStreams.Load(); got != 0 {
+		t.Errorf("live streams = %d after GC", got)
 	}
 }
 
@@ -462,8 +477,8 @@ func TestLiveBufferAccountingForwarded(t *testing.T) {
 	if err := n.eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if n.host.LiveBuffers() != 0 {
-		t.Errorf("host live buffers = %d at quiescence", n.host.LiveBuffers())
+	if n.probe.live != 0 {
+		t.Errorf("device live buffers = %d at quiescence", n.probe.live)
 	}
 	if n.server.Stats().LiveBuffers != 0 {
 		t.Errorf("server live buffers = %d at quiescence", n.server.Stats().LiveBuffers)

@@ -111,7 +111,7 @@ func TestShardContention(t *testing.T) {
 					t.Errorf("dispatched %d > D=%d", snap.DispatchedStreams, cfg.DispatchSize)
 					return
 				}
-				_ = srv.ActiveStreams()
+				_ = srv.liveStreams.Load()
 			}
 		}()
 	}

@@ -66,16 +66,6 @@ func (s *Server) diskDownFast(disk int) bool {
 	return s.diskDown[disk].Load()
 }
 
-// Replicas returns disk's replica set (primary first), or nil when
-// replication is off.
-func (s *Server) Replicas(disk int) []int {
-	set := s.replicaSet(disk)
-	if set == nil {
-		return nil
-	}
-	return append([]int(nil), set...)
-}
-
 // pickFetchDisk chooses the disk a dispatched stream's next fetch goes
 // to: the primary, unless the primary's circuit is open or its seeded
 // fetch EWMA exceeds SteerFactor times the fastest seeded healthy

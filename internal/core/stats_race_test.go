@@ -81,8 +81,8 @@ func TestStatsRace(t *testing.T) {
 					t.Error("negative snapshot counter")
 					return
 				}
-				_ = srv.ActiveStreams()
-				_ = srv.DispatchedStreams()
+				_ = srv.liveStreams.Load()
+				_ = srv.dispatched.Load()
 			}
 		}()
 	}

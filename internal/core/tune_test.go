@@ -36,8 +36,8 @@ func TestTuneCapsRToMemoryPerDisk(t *testing.T) {
 	if cfg.DispatchSize < 8 {
 		t.Errorf("D = %d, want at least one per disk", cfg.DispatchSize)
 	}
-	if cfg.MemoryFloor() > cfg.Memory*2 {
-		t.Errorf("floor %d far exceeds memory %d", cfg.MemoryFloor(), cfg.Memory)
+	if floor := memoryFloor(cfg); floor > cfg.Memory*2 {
+		t.Errorf("floor %d far exceeds memory %d", floor, cfg.Memory)
 	}
 }
 

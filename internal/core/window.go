@@ -60,14 +60,6 @@ func (w *LatencyWindows) Span() time.Duration {
 	return w.span
 }
 
-// Disks returns how many per-disk windows exist.
-func (w *LatencyWindows) Disks() int {
-	if w == nil {
-		return 0
-	}
-	return len(w.disks)
-}
-
 // Request returns the node-wide windowed request-latency snapshot.
 func (w *LatencyWindows) Request() obs.HistogramSnapshot {
 	if w == nil {

@@ -54,8 +54,8 @@ func TestLatencyWindowsWiring(t *testing.T) {
 	if w.Span() != time.Minute {
 		t.Fatalf("Span = %v", w.Span())
 	}
-	if w.Disks() != 2 {
-		t.Fatalf("Disks = %d, want 2", w.Disks())
+	if len(w.disks) != 2 {
+		t.Fatalf("per-disk windows = %d, want 2", len(w.disks))
 	}
 	if s := w.Request(); s.Count == 0 {
 		t.Fatal("request window saw no samples")
@@ -97,7 +97,7 @@ func TestLatencyWindowsWiring(t *testing.T) {
 
 	// Nil-receiver accessors keep disabled-window call sites simple.
 	var nilW *LatencyWindows
-	if nilW.Span() != 0 || nilW.Disks() != 0 || nilW.DiskEWMA(0) != 0 {
+	if nilW.Span() != 0 || nilW.DiskEWMA(0) != 0 {
 		t.Fatal("nil LatencyWindows accessors not zero")
 	}
 	if s := nilW.Request(); s.Count != 0 {

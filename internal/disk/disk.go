@@ -123,19 +123,6 @@ type Stats struct {
 	RotTime      sim.Time
 }
 
-// PrefetchEfficiency returns the fraction of media bytes that were
-// delivered to the host (1.0 means no wasted prefetch).
-func (s Stats) PrefetchEfficiency() float64 {
-	if s.BytesMedia == 0 {
-		return 1
-	}
-	f := float64(s.BytesRead) / float64(s.BytesMedia)
-	if f > 1 {
-		f = 1
-	}
-	return f
-}
-
 type pending struct {
 	offset int64
 	length int64
@@ -198,20 +185,8 @@ func New(eng *sim.Engine, cfg Config) (*Disk, error) {
 	}, nil
 }
 
-// Config returns the disk's configuration.
-func (d *Disk) Config() Config { return d.cfg }
-
-// Geometry returns the drive geometry.
-func (d *Disk) Geometry() *geom.Geometry { return d.g }
-
 // Stats returns a copy of the accumulated counters.
 func (d *Disk) Stats() Stats { return d.stats }
-
-// QueueLen returns the number of requests waiting (not in service).
-func (d *Disk) QueueLen() int { return len(d.queue) }
-
-// Busy reports whether a request is in service.
-func (d *Disk) Busy() bool { return d.busy }
 
 // Capacity returns the usable size in bytes.
 func (d *Disk) Capacity() int64 { return d.g.Capacity() }
@@ -451,12 +426,4 @@ func (d *Disk) fillSegment(start, end int64) {
 	}
 	d.segs[victim] = segment{start: start, end: end}
 	d.touch(victim)
-}
-
-// InvalidateCache drops all cached segments (used by tests and by
-// experiment harnesses between runs).
-func (d *Disk) InvalidateCache() {
-	for i := range d.segs {
-		d.segs[i] = segment{}
-	}
 }

@@ -345,42 +345,6 @@ func TestCLookOrdersByOffset(t *testing.T) {
 	}
 }
 
-func TestPrefetchEfficiencyStat(t *testing.T) {
-	var s Stats
-	if s.PrefetchEfficiency() != 1 {
-		t.Error("zero stats efficiency should be 1")
-	}
-	s = Stats{BytesRead: 50, BytesMedia: 100}
-	if s.PrefetchEfficiency() != 0.5 {
-		t.Errorf("efficiency = %v, want 0.5", s.PrefetchEfficiency())
-	}
-	s = Stats{BytesRead: 200, BytesMedia: 100} // hits can exceed media bytes
-	if s.PrefetchEfficiency() != 1 {
-		t.Error("efficiency should clamp at 1")
-	}
-}
-
-func TestInvalidateCache(t *testing.T) {
-	eng := sim.NewEngine()
-	d := newDisk(t, eng, nil)
-	if err := d.Submit(0, 64<<10, nil); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	d.InvalidateCache()
-	if err := d.Submit(64<<10, 64<<10, nil); err != nil {
-		t.Fatalf("Submit: %v", err)
-	}
-	if err := eng.Run(); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if d.Stats().CacheHits != 0 {
-		t.Error("hit after InvalidateCache")
-	}
-}
-
 func TestLargeRequestStreamsThroughCache(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDisk(t, eng, nil) // 256K segments
@@ -433,20 +397,8 @@ func TestDeterminism(t *testing.T) {
 func TestGeometryAccessors(t *testing.T) {
 	eng := sim.NewEngine()
 	d := newDisk(t, eng, nil)
-	if d.Geometry() == nil {
-		t.Fatal("nil geometry")
-	}
-	if d.Config().CacheSize != 8<<20 {
-		t.Errorf("Config passthrough broken")
-	}
-	if d.Capacity() != d.Geometry().Capacity() {
+	if d.Capacity() != d.g.Capacity() {
 		t.Error("capacity mismatch")
-	}
-	if d.Busy() {
-		t.Error("idle disk reports busy")
-	}
-	if d.QueueLen() != 0 {
-		t.Error("idle disk has queued requests")
 	}
 	_ = geom.BlockSize
 	_ = time.Second

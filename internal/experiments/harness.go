@@ -207,7 +207,7 @@ type Sample struct {
 	P99Lat  time.Duration
 }
 
-// submitFunc matches workload.SubmitFunc without importing it here.
+// submitFunc issues one read; done runs once when it has completed.
 type submitFunc func(disk int, off, length int64, done func()) error
 
 // measureRun drives synchronous sequential streams against submit and

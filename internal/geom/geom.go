@@ -91,18 +91,11 @@ func New(cfg Config) (*Geometry, error) {
 	return g, nil
 }
 
-// Config returns the configuration the geometry was built from.
-func (g *Geometry) Config() Config { return g.cfg }
-
 // Capacity returns the usable size in bytes.
 func (g *Geometry) Capacity() int64 { return g.cfg.Capacity }
 
 // RotationPeriod returns the time of one full revolution.
 func (g *Geometry) RotationPeriod() time.Duration { return g.rotationPeriod }
-
-// AvgRotationalLatency is half a revolution, the expected wait for a
-// random target sector.
-func (g *Geometry) AvgRotationalLatency() time.Duration { return g.rotationPeriod / 2 }
 
 // CylinderOf maps a byte offset to its cylinder.
 func (g *Geometry) CylinderOf(offset int64) int {
@@ -130,20 +123,6 @@ func (g *Geometry) SeekTime(fromCyl, toCyl int) time.Duration {
 	return g.cfg.SeekMin + time.Duration(frac*float64(g.cfg.SeekMax-g.cfg.SeekMin))
 }
 
-// SeekTimeBytes is SeekTime applied to byte offsets.
-func (g *Geometry) SeekTimeBytes(fromOff, toOff int64) time.Duration {
-	return g.SeekTime(g.CylinderOf(fromOff), g.CylinderOf(toOff))
-}
-
-// AvgSeekTime returns the expected seek time between two independently
-// uniform positions. For the sqrt curve the expected value of
-// sqrt(d/C) over uniform pairs is 8/15 ≈ 0.533 (E[sqrt(|X-Y|)] with
-// X, Y uniform on [0,1] equals 8/15).
-func (g *Geometry) AvgSeekTime() time.Duration {
-	const expectedSqrtDist = 8.0 / 15.0
-	return g.cfg.SeekMin + time.Duration(expectedSqrtDist*float64(g.cfg.SeekMax-g.cfg.SeekMin))
-}
-
 // MediaRate returns the sustained media transfer rate, in bytes per
 // second, at the given byte offset: the zone table's rate when one is
 // configured, else a linear interpolation between the outer and inner
@@ -160,15 +139,6 @@ func (g *Geometry) MediaRate(offset int64) float64 {
 	}
 	frac := float64(offset) / float64(g.cfg.Capacity)
 	return g.cfg.MediaRateOuter + frac*(g.cfg.MediaRateInner-g.cfg.MediaRateOuter)
-}
-
-// ZoneCount returns the number of explicit zones (0 when the linear
-// model is in use).
-func (g *Geometry) ZoneCount() int {
-	if g.zones == nil {
-		return 0
-	}
-	return g.zones.Zones()
 }
 
 // TransferTime returns the media time to read or write n bytes starting

@@ -19,18 +19,3 @@ func WD800JD() Config {
 		MediaRateInner: 30e6,
 	}
 }
-
-// Generic1TB returns a larger commodity SATA profile used by the
-// large-configuration experiments (the introduction's "more than
-// 1 TByte" single-spindle disks).
-func Generic1TB() Config {
-	return Config{
-		Capacity:       1000 * 1000 * 1000 * 1000 / BlockSize * BlockSize,
-		RPM:            7200,
-		Cylinders:      150000,
-		SeekMin:        1200 * time.Microsecond,
-		SeekMax:        14500 * time.Microsecond,
-		MediaRateOuter: 100e6,
-		MediaRateInner: 50e6,
-	}
-}

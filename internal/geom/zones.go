@@ -56,9 +56,6 @@ func NewZoneTable(capacity int64, zones []Zone) (*ZoneTable, error) {
 	return &ZoneTable{zones: out, cap: capacity}, nil
 }
 
-// Zones returns the number of zones.
-func (t *ZoneTable) Zones() int { return len(t.zones) }
-
 // Rate returns the media rate at a byte offset (clamped to the table).
 func (t *ZoneTable) Rate(off int64) float64 {
 	if off < 0 {
@@ -69,39 +66,4 @@ func (t *ZoneTable) Rate(off int64) float64 {
 	}
 	i := sort.Search(len(t.zones), func(i int) bool { return t.zones[i].Start > off })
 	return t.zones[i-1].Rate
-}
-
-// ZoneOf returns the index of the zone containing the offset.
-func (t *ZoneTable) ZoneOf(off int64) int {
-	if off < 0 {
-		off = 0
-	}
-	if off >= t.cap {
-		off = t.cap - 1
-	}
-	return sort.Search(len(t.zones), func(i int) bool { return t.zones[i].Start > off }) - 1
-}
-
-// UniformZones builds an n-zone table whose rates step linearly from
-// outer to inner — a convenient stand-in when a drive's real zone map
-// is unknown.
-func UniformZones(capacity int64, n int, outer, inner float64) ([]Zone, error) {
-	if n < 1 {
-		return nil, errors.New("geom: need at least one zone")
-	}
-	if outer <= 0 || inner <= 0 || inner > outer {
-		return nil, errors.New("geom: need 0 < inner <= outer")
-	}
-	zones := make([]Zone, n)
-	for i := 0; i < n; i++ {
-		frac := 0.0
-		if n > 1 {
-			frac = float64(i) / float64(n-1)
-		}
-		zones[i] = Zone{
-			Start: capacity * int64(i) / int64(n),
-			Rate:  outer + frac*(inner-outer),
-		}
-	}
-	return zones, nil
 }

@@ -42,56 +42,42 @@ func TestZoneTableLookup(t *testing.T) {
 	cases := []struct {
 		off  int64
 		rate float64
-		zone int
 	}{
-		{0, 60, 0}, {399, 60, 0}, {400, 50, 1}, {799, 50, 1}, {800, 40, 2}, {999, 40, 2},
-		{-5, 60, 0}, {5000, 40, 2}, // clamped
+		{0, 60}, {399, 60}, {400, 50}, {799, 50}, {800, 40}, {999, 40},
+		{-5, 60}, {5000, 40}, // clamped
 	}
 	for _, c := range cases {
 		if got := zt.Rate(c.off); got != c.rate {
 			t.Errorf("Rate(%d) = %v, want %v", c.off, got, c.rate)
 		}
-		if got := zt.ZoneOf(c.off); got != c.zone {
-			t.Errorf("ZoneOf(%d) = %d, want %d", c.off, got, c.zone)
-		}
 	}
-	if zt.Zones() != 3 {
-		t.Errorf("Zones = %d", zt.Zones())
+	if len(zt.zones) != 3 {
+		t.Errorf("zones = %d", len(zt.zones))
 	}
 }
 
-func TestUniformZones(t *testing.T) {
-	zones, err := UniformZones(1000, 4, 60, 30)
-	if err != nil {
-		t.Fatal(err)
+// uniformZones builds an n-zone table whose rates step linearly from
+// outer to inner.
+func uniformZones(capacity int64, n int, outer, inner float64) []Zone {
+	zones := make([]Zone, n)
+	for i := range zones {
+		zones[i] = Zone{
+			Start: capacity * int64(i) / int64(n),
+			Rate:  outer + float64(i)/float64(n-1)*(inner-outer),
+		}
 	}
-	if len(zones) != 4 || zones[0].Start != 0 || zones[0].Rate != 60 || zones[3].Rate != 30 {
-		t.Errorf("zones = %+v", zones)
-	}
-	if _, err := UniformZones(1000, 0, 60, 30); err == nil {
-		t.Error("zero zones accepted")
-	}
-	if _, err := UniformZones(1000, 4, 30, 60); err == nil {
-		t.Error("inner > outer accepted")
-	}
-	if _, err := UniformZones(1000, 1, 60, 60); err != nil {
-		t.Errorf("single zone rejected: %v", err)
-	}
+	return zones
 }
 
 func TestGeometryWithZoneTable(t *testing.T) {
 	cfg := WD800JD()
-	zones, err := UniformZones(cfg.Capacity, 16, cfg.MediaRateOuter, cfg.MediaRateInner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Zones = zones
+	cfg.Zones = uniformZones(cfg.Capacity, 16, cfg.MediaRateOuter, cfg.MediaRateInner)
 	g, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if g.ZoneCount() != 16 {
-		t.Errorf("ZoneCount = %d", g.ZoneCount())
+	if len(g.zones.zones) != 16 {
+		t.Errorf("zones = %d", len(g.zones.zones))
 	}
 	if got := g.MediaRate(0); got != cfg.MediaRateOuter {
 		t.Errorf("outer rate = %v", got)
@@ -112,11 +98,7 @@ func TestGeometryWithZoneTable(t *testing.T) {
 }
 
 func TestZoneRateMonotonicProperty(t *testing.T) {
-	zones, err := UniformZones(1<<30, 20, 100e6, 50e6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	zt, err := NewZoneTable(1<<30, zones)
+	zt, err := NewZoneTable(1<<30, uniformZones(1<<30, 20, 100e6, 50e6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -150,9 +150,6 @@ func NewDetectors(cfg DetectorConfig) *Detectors {
 	}
 }
 
-// Config returns the thresholds in effect (defaults applied).
-func (d *Detectors) Config() DetectorConfig { return d.cfg }
-
 // Observe feeds one event. Events must arrive in Seq order for the
 // starvation rotation counts to match the offline analyzer exactly;
 // out-of-order delivery only skews those counts, it cannot corrupt

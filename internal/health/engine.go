@@ -44,9 +44,6 @@ type Config struct {
 	Window time.Duration
 	// Detectors tunes the anomaly thresholds (zero fields defaulted).
 	Detectors DetectorConfig
-	// JournalCap bounds the raised/cleared journal (default
-	// DefaultJournalCap).
-	JournalCap int
 }
 
 // Verdict is a health rollup outcome, ordered by severity.
@@ -117,6 +114,8 @@ type Engine struct {
 	rec   *flight.Recorder
 	srv   *core.Server
 	clock blockdev.Clock
+	// journalCap bounds the raised/cleared journal.
+	journalCap int
 
 	mu         sync.Mutex
 	det        *Detectors             //lint:guardedby mu
@@ -171,28 +170,23 @@ func NewEngine(rec *flight.Recorder, srv *core.Server, clock blockdev.Clock, cfg
 			cfg.Window = DefaultWindow
 		}
 	}
-	if cfg.JournalCap <= 0 {
-		cfg.JournalCap = DefaultJournalCap
-	}
 	cfg.Detectors.ApplyDefaults()
 	e := &Engine{
-		cfg:       cfg,
-		rec:       rec,
-		srv:       srv,
-		clock:     clock,
-		det:       NewDetectors(cfg.Detectors),
-		cursors:   make([]*flight.Cursor, rec.Rings()),
-		active:    make(map[anomalyKey]Anomaly),
-		exemplars: make(map[int]exemplar),
+		cfg:        cfg,
+		rec:        rec,
+		srv:        srv,
+		clock:      clock,
+		journalCap: DefaultJournalCap,
+		det:        NewDetectors(cfg.Detectors),
+		cursors:    make([]*flight.Cursor, rec.Rings()),
+		active:     make(map[anomalyKey]Anomaly),
+		exemplars:  make(map[int]exemplar),
 	}
 	for i := range e.cursors {
 		e.cursors[i] = rec.Ring(i).NewCursor()
 	}
 	return e, nil
 }
-
-// Config returns the effective engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
 
 // Start schedules the periodic tick loop. Idempotent; a no-op after
 // Close.
@@ -337,26 +331,11 @@ func (e *Engine) refreshAnomalies(now time.Duration) []Anomaly {
 //
 //lint:holds mu
 func (e *Engine) journalAppend(entry JournalEntry) {
-	if len(e.journal) >= e.cfg.JournalCap {
-		n := copy(e.journal, e.journal[len(e.journal)-e.cfg.JournalCap+1:])
+	if len(e.journal) >= e.journalCap {
+		n := copy(e.journal, e.journal[len(e.journal)-e.journalCap+1:])
 		e.journal = e.journal[:n]
 	}
 	e.journal = append(e.journal, entry)
-}
-
-// Journal returns a copy of the bounded transition journal, oldest
-// first.
-func (e *Engine) Journal() []JournalEntry {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]JournalEntry(nil), e.journal...)
-}
-
-// Anomalies returns the currently active anomalies in detector order.
-func (e *Engine) Anomalies() []Anomaly {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.det.Findings()
 }
 
 // WindowStats summarizes one latency window for the rollup.

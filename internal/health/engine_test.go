@@ -145,7 +145,7 @@ func TestEngineOnlineMatchesOffline(t *testing.T) {
 		e.Tick()
 	}
 
-	online := e.Anomalies()
+	online := e.Report().Anomalies
 	offline := Detect(rec.Snapshot().Merged(), anomalyConfig())
 	if len(online) == 0 {
 		t.Fatal("engine found no anomalies")
@@ -184,7 +184,7 @@ func TestEngineJournal(t *testing.T) {
 	})
 	clk.advance(time.Second)
 	e.Tick()
-	j := e.Journal()
+	j := e.Report().Journal
 	if len(j) != 1 || j[0].Change != "raised" || j[0].Anomaly.Kind != KindMPressure {
 		t.Fatalf("journal after raise = %+v", j)
 	}
@@ -195,30 +195,31 @@ func TestEngineJournal(t *testing.T) {
 	recordAll(rec, []flight.Event{{Op: flight.OpFetch, Length: 100000}})
 	clk.advance(time.Second)
 	e.Tick()
-	j = e.Journal()
+	j = e.Report().Journal
 	if len(j) != 2 || j[1].Change != "cleared" || j[1].Anomaly.Kind != KindMPressure {
 		t.Fatalf("journal after clear = %+v", j)
 	}
-	if len(e.Anomalies()) != 0 {
-		t.Fatalf("anomaly still active after clear: %+v", e.Anomalies())
+	if len(e.Report().Anomalies) != 0 {
+		t.Fatalf("anomaly still active after clear: %+v", e.Report().Anomalies)
 	}
 
 	// A steady state adds nothing.
 	e.Tick()
-	if len(e.Journal()) != 2 {
-		t.Fatalf("journal grew without transitions: %+v", e.Journal())
+	if len(e.Report().Journal) != 2 {
+		t.Fatalf("journal grew without transitions: %+v", e.Report().Journal)
 	}
 }
 
 // TestEngineJournalBounded checks the journal drops oldest entries
-// past JournalCap.
+// past its cap.
 func TestEngineJournalBounded(t *testing.T) {
 	clk := &manualClock{}
 	rec, err := flight.New(clk.Now, 1, 256)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := newTestEngine(t, rec, clk, Config{JournalCap: 2})
+	e := newTestEngine(t, rec, clk, Config{})
+	e.journalCap = 2
 
 	fetched := int64(1000)
 	for i := 0; i < 2; i++ {
@@ -231,7 +232,7 @@ func TestEngineJournalBounded(t *testing.T) {
 		fetched += fetched * 100
 		e.Tick()
 	}
-	j := e.Journal()
+	j := e.Report().Journal
 	if len(j) != 2 {
 		t.Fatalf("journal len = %d, want cap 2 (%+v)", len(j), j)
 	}
@@ -515,8 +516,8 @@ func TestEngineWithServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer e.Close()
-	if e.Config().Window != time.Minute {
-		t.Fatalf("engine window = %v, want server span", e.Config().Window)
+	if e.cfg.Window != time.Minute {
+		t.Fatalf("engine window = %v, want server span", e.cfg.Window)
 	}
 
 	const req = 64 << 10
@@ -563,8 +564,8 @@ func TestEngineWithServer(t *testing.T) {
 		t.Fatalf("shards = %d, want %d", len(rep.Shards), srv.NumShards())
 	}
 
-	online := e.Anomalies()
-	offline := Detect(rec.Snapshot().Merged(), e.Config().Detectors)
+	online := e.Report().Anomalies
+	offline := Detect(rec.Snapshot().Merged(), e.cfg.Detectors)
 	if !reflect.DeepEqual(online, offline) {
 		t.Fatalf("online/offline mismatch:\n online: %+v\noffline: %+v", online, offline)
 	}

@@ -11,18 +11,85 @@ import (
 	"seqstream/internal/geom"
 	"seqstream/internal/health"
 	"seqstream/internal/iostack"
-	"seqstream/internal/metrics"
 	"seqstream/internal/netserve"
 	"seqstream/internal/sim"
-	"seqstream/internal/workload"
 )
 
-// TestFullSimStack runs workload -> core -> iostack with metrics and
+// seqStream is one sequential reader: requests reads of reqSize bytes
+// from start on disk, with outstanding reads in flight (the paper's
+// synchronous clients have one).
+type seqStream struct {
+	disk        int
+	start       int64
+	requests    int
+	outstanding int
+}
+
+// uniformStreams places n synchronous streams capacity/n apart on disk,
+// aligned to 512 bytes: the paper's §5 placement.
+func uniformStreams(disk, n int, capacity int64, requests int) []seqStream {
+	spacing := capacity / int64(n)
+	spacing -= spacing % 512
+	streams := make([]seqStream, n)
+	for i := range streams {
+		streams[i] = seqStream{disk: disk, start: int64(i) * spacing, requests: requests, outstanding: 1}
+	}
+	return streams
+}
+
+// runStreams drives streams closed-loop through submit on eng, issuing
+// each stream's next read as one completes, until every read has
+// completed. submit receives a request with its target and Done set and
+// may add a trace id. It returns the bytes delivered and the simulated
+// time from the first issue to the last completion.
+func runStreams(t *testing.T, eng *sim.Engine, streams []seqStream, reqSize int64,
+	submit func(core.Request) error) (bytes int64, took time.Duration) {
+	t.Helper()
+	start := eng.Now()
+	pending := 0
+	for i := range streams {
+		s := streams[i]
+		pending += s.requests
+		next := s.start
+		issued := 0
+		var issue func()
+		issue = func() {
+			off := next
+			next += reqSize
+			issued++
+			err := submit(core.Request{Disk: s.disk, Offset: off, Length: reqSize, Done: func(r core.Response) {
+				if r.Err != nil {
+					t.Errorf("disk %d offset %d: %v", s.disk, off, r.Err)
+				}
+				bytes += reqSize
+				pending--
+				if issued < s.requests {
+					issue()
+				}
+			}})
+			if err != nil {
+				t.Fatalf("submit disk %d offset %d: %v", s.disk, off, err)
+			}
+		}
+		for k := 0; k < s.outstanding && issued < s.requests; k++ {
+			issue()
+		}
+	}
+	if err := eng.RunWhile(func() bool { return pending > 0 }); err != nil {
+		t.Fatal(err)
+	}
+	if pending != 0 {
+		t.Fatalf("%d reads never completed", pending)
+	}
+	return bytes, eng.Now() - start
+}
+
+// TestFullSimStack runs closed-loop streams -> core -> iostack with
 // every request traced through the flight recorder, and cross-checks
 // every layer's accounting.
 func TestFullSimStack(t *testing.T) {
 	eng := sim.NewEngine()
-	host, err := iostack.New(eng, iostack.MediumConfig(iostack.Options{}))
+	host, err := iostack.New(eng, iostack.Testbed8Config(iostack.Options{}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,50 +116,29 @@ func TestFullSimStack(t *testing.T) {
 	}
 	defer node.Close()
 
-	rec := metrics.NewRecorder()
-	traced := make(map[uint64]int)
-	gen, err := workload.NewGenerator(clock, func(disk int, off, length int64, done func()) error {
-		id := fr.NextTrace()
-		traced[id] = 0
-		return node.Submit(core.Request{Disk: disk, Offset: off, Length: length, Trace: id,
-			Done: func(core.Response) { done() }})
-	}, rec)
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	// 4 streams on each of the 8 disks, 64 requests each.
 	const perDisk, requests = 4, 64
 	const reqSize = 64 << 10
+	var streams []seqStream
 	for d := 0; d < dev.Disks(); d++ {
-		specs := workload.UniformStreams(d*perDisk, d, perDisk, dev.Capacity(d), reqSize, requests)
-		if err := gen.Add(specs...); err != nil {
-			t.Fatal(err)
-		}
+		streams = append(streams, uniformStreams(d, perDisk, dev.Capacity(d), requests)...)
 	}
-	finished := false
-	if err := gen.Start(func() { finished = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunWhile(func() bool { return !finished }); err != nil {
-		t.Fatal(err)
-	}
-	if !finished {
-		t.Fatal("workload never finished")
-	}
+	traced := make(map[uint64]int)
+	bytes, took := runStreams(t, eng, streams, reqSize, func(r core.Request) error {
+		r.Trace = fr.NextTrace()
+		traced[r.Trace] = 0
+		return node.Submit(r)
+	})
 
 	total := int64(dev.Disks() * perDisk * requests)
 	wantBytes := total * reqSize
 
-	// Layer 1: workload metrics.
-	if rec.TotalRequests() != total {
-		t.Errorf("recorder requests = %d, want %d", rec.TotalRequests(), total)
+	// Layer 1: the client side delivered every byte in positive time.
+	if bytes != wantBytes {
+		t.Errorf("client bytes = %d, want %d", bytes, wantBytes)
 	}
-	if rec.TotalBytes() != wantBytes {
-		t.Errorf("recorder bytes = %d, want %d", rec.TotalBytes(), wantBytes)
-	}
-	if rec.AggregateMBps() <= 0 {
-		t.Error("no aggregate throughput")
+	if took <= 0 {
+		t.Errorf("run took %v of simulated time", took)
 	}
 
 	// Drain in-flight prefetches and GC before cross-checking the
@@ -170,8 +216,7 @@ func TestFullSimStack(t *testing.T) {
 }
 
 // TestSchedulerInsensitivityEndToEnd is the paper's headline assertion
-// run through the public workload API rather than the experiment
-// harness.
+// run through core's public API rather than the experiment harness.
 func TestSchedulerInsensitivityEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation sweep")
@@ -192,24 +237,8 @@ func TestSchedulerInsensitivityEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer node.Close()
-		gen, err := workload.NewGenerator(blockdev.NewSimClock(eng), func(disk int, off, length int64, done func()) error {
-			return node.Submit(core.Request{Disk: disk, Offset: off, Length: length,
-				Done: func(core.Response) { done() }})
-		}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := gen.Add(workload.UniformStreams(0, 0, streams, dev.Capacity(0), 64<<10, 256)...); err != nil {
-			t.Fatal(err)
-		}
-		done := false
-		if err := gen.Start(func() { done = true }); err != nil {
-			t.Fatal(err)
-		}
-		if err := eng.RunWhile(func() bool { return !done }); err != nil {
-			t.Fatal(err)
-		}
-		return gen.Recorder().WallThroughput() / 1e6
+		bytes, took := runStreams(t, eng, uniformStreams(0, streams, dev.Capacity(0), 256), 64<<10, node.Submit)
+		return float64(bytes) / took.Seconds() / 1e6
 	}
 	ten := run(10)
 	hundred := run(100)
@@ -230,13 +259,13 @@ func TestNetworkedNodeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	srv, err := netserve.NewServer(node, "127.0.0.1:0")
+	srv, err := netserve.NewServerOpts(node, "127.0.0.1:0", netserve.ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	client, err := netserve.Dial(srv.Addr())
+	client, err := netserve.DialOpts(srv.Addr(), netserve.ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,30 +308,11 @@ func TestPipelinedClientsThroughScheduler(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer node.Close()
-	gen, err := workload.NewGenerator(blockdev.NewSimClock(eng), func(disk int, off, length int64, done func()) error {
-		return node.Submit(core.Request{Disk: disk, Offset: off, Length: length,
-			Done: func(core.Response) { done() }})
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
+	streams := uniformStreams(0, 6, dev.Capacity(0), 64)
+	for i := range streams {
+		streams[i].outstanding = 4
 	}
-	specs := workload.UniformStreams(0, 0, 6, dev.Capacity(0), 64<<10, 64)
-	for i := range specs {
-		specs[i].Outstanding = 4
-	}
-	if err := gen.Add(specs...); err != nil {
-		t.Fatal(err)
-	}
-	finished := false
-	if err := gen.Start(func() { finished = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunWhile(func() bool { return !finished }); err != nil {
-		t.Fatal(err)
-	}
-	if !finished {
-		t.Fatal("pipelined workload never finished")
-	}
+	bytes, _ := runStreams(t, eng, streams, 64<<10, node.Submit)
 	st := node.Stats()
 	if st.StreamsDetected != 6 {
 		t.Errorf("StreamsDetected = %d, want 6 (pipelining must not break classification)", st.StreamsDetected)
@@ -310,8 +320,8 @@ func TestPipelinedClientsThroughScheduler(t *testing.T) {
 	if st.BufferHits+st.QueuedServed == 0 {
 		t.Error("pipelined streams never hit staging")
 	}
-	if gen.Recorder().TotalRequests() != 6*64 {
-		t.Errorf("TotalRequests = %d", gen.Recorder().TotalRequests())
+	if bytes != 6*64*64<<10 {
+		t.Errorf("delivered %d bytes, want %d", bytes, 6*64*64<<10)
 	}
 }
 
@@ -377,13 +387,6 @@ func TestFlightLifecycleAcceptance(t *testing.T) {
 	defer node.Close()
 	dev.SetFlight(rec)
 
-	gen, err := workload.NewGenerator(blockdev.NewSimClock(eng), func(disk int, off, length int64, done func()) error {
-		return node.Submit(core.Request{Disk: disk, Offset: off, Length: length,
-			Done: func(core.Response) { done() }})
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
 	// Stream i on each disk owns the disjoint slice
 	// [i·1MB, (i+1)·1MB) — one classifier region each, no two streams
 	// merge. The last slice ends at the disk's exact capacity, so that
@@ -391,35 +394,16 @@ func TestFlightLifecycleAcceptance(t *testing.T) {
 	// their slice end (the scheduler prefetched past it) and are
 	// collected by the GC sweep — both are terminal lifecycle events.
 	const slice = diskCap / perDisk
-	totalStreams := 0
+	var streams []seqStream
 	for d := 0; d < dev.Disks(); d++ {
 		for i := 0; i < perDisk; i++ {
-			spec := workload.StreamSpec{
-				ID:          d*perDisk + i,
-				Disk:        d,
-				Start:       int64(i) * slice,
-				RequestSize: reqSize,
-				Requests:    int(slice / reqSize),
-			}
-			if err := gen.Add(spec); err != nil {
-				t.Fatal(err)
-			}
-			totalStreams++
+			streams = append(streams, seqStream{disk: d, start: int64(i) * slice, requests: int(slice / reqSize), outstanding: 1})
 		}
 	}
-	if totalStreams != 512 {
-		t.Fatalf("streams = %d, want 512", totalStreams)
+	if len(streams) != 512 {
+		t.Fatalf("streams = %d, want 512", len(streams))
 	}
-	finished := false
-	if err := gen.Start(func() { finished = true }); err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.RunWhile(func() bool { return !finished }); err != nil {
-		t.Fatal(err)
-	}
-	if !finished {
-		t.Fatal("workload never finished")
-	}
+	runStreams(t, eng, streams, reqSize, node.Submit)
 	// Drain trailing prefetch completions so final deliver/retire events
 	// land before the snapshot.
 	if err := eng.Run(); err != nil {

@@ -184,12 +184,6 @@ func New(eng *sim.Engine, d *disk.Disk, cfg Config) (*Scheduler, error) {
 	return &Scheduler{eng: eng, cfg: cfg, d: d, procs: make(map[int]*procState)}, nil
 }
 
-// Stats returns a copy of the counters.
-func (s *Scheduler) Stats() Stats { return s.stats }
-
-// Config returns the configuration.
-func (s *Scheduler) Config() Config { return s.cfg }
-
 // window returns the readahead window granted to a sequential reader
 // under the current memory pressure.
 func (s *Scheduler) window() int64 {

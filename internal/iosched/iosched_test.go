@@ -121,7 +121,7 @@ func TestReadaheadWindowHits(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := s.Stats()
+	st := s.stats
 	if completions != 16 {
 		t.Fatalf("completions = %d", completions)
 	}
@@ -149,7 +149,7 @@ func TestRandomReaderGetsNoWindow(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.stats
 	// The first read of a fresh process starts at lastEnd==0==off, so it
 	// is treated as sequential; the second (scattered) read must not be.
 	if st.DiskBytes > s.window()+4096 {
@@ -237,7 +237,7 @@ func TestAnticipationRewarded(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	st := s.Stats()
+	st := s.stats
 	if st.AnticWaits == 0 {
 		t.Error("anticipatory never idled the disk")
 	}

@@ -33,7 +33,7 @@ func TestRampDoublesWindows(t *testing.T) {
 		if err := eng.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if db := s.Stats().DiskBytes; db != before {
+		if db := s.stats.DiskBytes; db != before {
 			fetched = append(fetched, db-before)
 			before = db
 		}
@@ -73,25 +73,25 @@ func TestRampResetsOnSeek(t *testing.T) {
 	// the seek restarts at RampStart.
 	far := d.Capacity() / 2
 	far -= far % 512
-	before := s.Stats().DiskBytes
+	before := s.stats.DiskBytes
 	if err := s.Read(0, far, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	seekFetch := s.Stats().DiskBytes - before
+	seekFetch := s.stats.DiskBytes - before
 	if seekFetch != 4096 {
 		t.Errorf("seek fetch = %d, want bare request", seekFetch)
 	}
-	before = s.Stats().DiskBytes
+	before = s.stats.DiskBytes
 	if err := s.Read(0, far+4096, 4096, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	resumeFetch := s.Stats().DiskBytes - before
+	resumeFetch := s.stats.DiskBytes - before
 	if resumeFetch != 16<<10 {
 		t.Errorf("post-seek window = %d, want RampStart 16K", resumeFetch)
 	}
@@ -105,7 +105,7 @@ func TestNoRampGrantsFullWindow(t *testing.T) {
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if db := s.Stats().DiskBytes; db != 128<<10 {
+	if db := s.stats.DiskBytes; db != 128<<10 {
 		t.Errorf("first fetch = %d, want full 128K window", db)
 	}
 }

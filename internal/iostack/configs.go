@@ -58,10 +58,6 @@ func build(nctrl, disksPerCtrl int, opts Options) Config {
 // controller with a single drive (§3).
 func BaseConfig(opts Options) Config { return build(1, 1, opts) }
 
-// MediumConfig is the medium-size configuration: two controllers and
-// eight drives total (§3, §5).
-func MediumConfig(opts Options) Config { return build(2, 4, opts) }
-
 // LargeConfig is the large configuration: sixteen controllers hosting
 // four drives each (§3); the Fig. 1 sweep uses 60 of the 64 drives.
 func LargeConfig(opts Options) Config { return build(16, 4, opts) }

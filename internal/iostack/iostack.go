@@ -95,13 +95,6 @@ type Result struct {
 	DiskHit       bool
 }
 
-// Stats accumulates host counters.
-type Stats struct {
-	Requests int64
-	Bytes    int64
-	CPUTime  sim.Time
-}
-
 // Host is a storage node bound to an engine. All access must happen on
 // the engine loop.
 type Host struct {
@@ -113,7 +106,6 @@ type Host struct {
 
 	cpuBusyUntil sim.Time
 	liveBuffers  int
-	stats        Stats
 }
 
 type diskRef struct {
@@ -149,9 +141,6 @@ func New(eng *sim.Engine, cfg Config) (*Host, error) {
 	return h, nil
 }
 
-// Engine returns the engine the host is bound to.
-func (h *Host) Engine() *sim.Engine { return h.eng }
-
 // NumDisks returns the number of drives across all controllers.
 func (h *Host) NumDisks() int { return len(h.diskMap) }
 
@@ -172,9 +161,6 @@ func (h *Host) DiskCapacity(global int) int64 {
 	return h.Disk(global).Capacity()
 }
 
-// Stats returns a copy of host counters.
-func (h *Host) Stats() Stats { return h.stats }
-
 // SetLiveBuffers tells the CPU model how many host I/O buffers are
 // currently allocated (the dispatch + buffered sets). The core
 // scheduler updates this as buffers come and go.
@@ -184,9 +170,6 @@ func (h *Host) SetLiveBuffers(n int) {
 	}
 	h.liveBuffers = n
 }
-
-// LiveBuffers returns the current live-buffer count.
-func (h *Host) LiveBuffers() int { return h.liveBuffers }
 
 // CPUWork serializes d of CPU time on the host CPU and runs done when
 // it finishes.
@@ -199,7 +182,6 @@ func (h *Host) CPUWork(d time.Duration, done func()) {
 		start = h.cpuBusyUntil
 	}
 	h.cpuBusyUntil = start + d
-	h.stats.CPUTime += d
 	h.eng.ScheduleAt(h.cpuBusyUntil, func() {
 		if done != nil {
 			done()
@@ -249,8 +231,6 @@ func (h *Host) submit(global int, off, n int64, write bool, done func(Result)) e
 	complete := func(cres controller.Result) {
 		// Host-side completion: buffer management on the virtual CPU.
 		h.CPUWork(h.requestCPUCost(n), func() {
-			h.stats.Requests++
-			h.stats.Bytes += n
 			if done != nil {
 				done(Result{
 					Start:         start,

@@ -5,7 +5,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"math/bits"
 	"sort"
@@ -17,7 +16,6 @@ import (
 type LatencySummary struct {
 	count   int64
 	sum     time.Duration
-	min     time.Duration
 	max     time.Duration
 	buckets [64]int64 // bucket i holds latencies in [2^i, 2^(i+1)) ns
 }
@@ -27,9 +25,6 @@ type LatencySummary struct {
 func (l *LatencySummary) Observe(d time.Duration) {
 	if d < 0 {
 		d = 0
-	}
-	if l.count == 0 || d < l.min {
-		l.min = d
 	}
 	if d > l.max {
 		l.max = d
@@ -57,9 +52,6 @@ func (l *LatencySummary) Mean() time.Duration {
 	}
 	return time.Duration(int64(l.sum) / l.count)
 }
-
-// Min returns the smallest sample.
-func (l *LatencySummary) Min() time.Duration { return l.min }
 
 // Max returns the largest sample.
 func (l *LatencySummary) Max() time.Duration { return l.max }
@@ -122,9 +114,6 @@ func (l *LatencySummary) FractionUnder(d time.Duration) float64 {
 func (l *LatencySummary) Merge(other *LatencySummary) {
 	if other == nil || other.count == 0 {
 		return
-	}
-	if l.count == 0 || other.min < l.min {
-		l.min = other.min
 	}
 	if other.max > l.max {
 		l.max = other.max
@@ -266,11 +255,4 @@ func (r *Recorder) MergedLatency() LatencySummary {
 		merged.Merge(&s.Latency)
 	}
 	return merged
-}
-
-// String summarizes the recorder.
-func (r *Recorder) String() string {
-	lat := r.MergedLatency()
-	return fmt.Sprintf("streams=%d reqs=%d bytes=%d agg=%.1fMB/s mean_lat=%v",
-		r.Streams(), r.TotalRequests(), r.TotalBytes(), r.AggregateMBps(), lat.Mean())
 }

@@ -21,15 +21,15 @@ func TestLatencySummaryBasics(t *testing.T) {
 	if l.Mean() != 20*time.Millisecond {
 		t.Errorf("Mean = %v", l.Mean())
 	}
-	if l.Min() != 10*time.Millisecond || l.Max() != 30*time.Millisecond {
-		t.Errorf("Min/Max = %v/%v", l.Min(), l.Max())
+	if l.Max() != 30*time.Millisecond {
+		t.Errorf("Max = %v", l.Max())
 	}
 }
 
 func TestLatencyNegativeClamped(t *testing.T) {
 	var l LatencySummary
 	l.Observe(-5 * time.Millisecond)
-	if l.Min() != 0 || l.Mean() != 0 {
+	if l.Max() != 0 || l.Mean() != 0 {
 		t.Error("negative sample not clamped")
 	}
 }
@@ -86,8 +86,8 @@ func TestLatencyMerge(t *testing.T) {
 	if a.Count() != 2 || a.Mean() != 20*time.Millisecond {
 		t.Errorf("merged count=%d mean=%v", a.Count(), a.Mean())
 	}
-	if a.Min() != 10*time.Millisecond || a.Max() != 30*time.Millisecond {
-		t.Error("merged min/max wrong")
+	if a.Max() != 30*time.Millisecond {
+		t.Error("merged max wrong")
 	}
 	a.Merge(nil) // no-op
 	var empty LatencySummary
@@ -96,7 +96,7 @@ func TestLatencyMerge(t *testing.T) {
 		t.Error("no-op merges changed count")
 	}
 	empty.Merge(&a)
-	if empty.Count() != 2 || empty.Min() != 10*time.Millisecond {
+	if empty.Count() != 2 || empty.Mean() != 20*time.Millisecond {
 		t.Error("merge into empty lost samples")
 	}
 }
@@ -104,7 +104,7 @@ func TestLatencyMerge(t *testing.T) {
 func TestLatencyMergeEmptyPair(t *testing.T) {
 	var a, b LatencySummary
 	a.Merge(&b)
-	if a.Count() != 0 || a.Min() != 0 || a.Max() != 0 || a.Quantile(0.99) != 0 {
+	if a.Count() != 0 || a.Mean() != 0 || a.Max() != 0 || a.Quantile(0.99) != 0 {
 		t.Errorf("empty×empty merge produced samples: %+v", a)
 	}
 }
@@ -218,9 +218,6 @@ func TestRecorderEmpty(t *testing.T) {
 	}
 	if r.Stream(5) != nil {
 		t.Error("missing stream should be nil")
-	}
-	if s := r.String(); s == "" {
-		t.Error("String should not be empty")
 	}
 }
 

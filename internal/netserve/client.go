@@ -145,19 +145,6 @@ type ClientOptions struct {
 // with when the connection dies under them.
 var ErrDisconnected = errors.New("netserve: connection lost")
 
-// Dial connects to a storage node, timestamping requests with the
-// wall clock.
-func Dial(addr string) (*Client, error) {
-	return DialOpts(addr, ClientOptions{})
-}
-
-// DialClock connects to a storage node with an injected clock, so
-// tests (and simulated deployments) control the latency measurements
-// instead of the wall clock.
-func DialClock(addr string, clock blockdev.Clock) (*Client, error) {
-	return DialOpts(addr, ClientOptions{Clock: clock})
-}
-
 // DialOpts connects to a storage node with explicit failure-handling
 // options.
 func DialOpts(addr string, opts ClientOptions) (*Client, error) {
@@ -374,13 +361,6 @@ func (c *Client) expire(id uint64) {
 	if ok && h.done != nil {
 		h.done(Response{ID: id, Status: StatusTimeout}, c.opts.RequestTimeout)
 	}
-}
-
-// Outstanding returns the number of pending requests.
-func (c *Client) Outstanding() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.pending)
 }
 
 // Err returns the reader's terminal error after Close (io.EOF and

@@ -35,14 +35,14 @@ func (c *stepClock) Schedule(time.Duration, func()) (cancel func()) {
 // recorded latency must be exactly 15ms.
 func TestClientInjectedClock(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
 	clock := &stepClock{steps: []time.Duration{10 * time.Millisecond, 25 * time.Millisecond}}
-	client, err := DialClock(srv.Addr(), clock)
+	client, err := DialOpts(srv.Addr(), ClientOptions{Clock: clock})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,12 +58,12 @@ func faultTestNode(t *testing.T, rules []blockdev.FaultRule, tune func(*core.Con
 
 func TestRunStreamsRejectsOverCapacity(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,12 +83,12 @@ func TestRunStreamsRejectsOverCapacity(t *testing.T) {
 func TestClientDisconnectMidBurstDrainsPending(t *testing.T) {
 	checkGoroutines(t)
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +113,7 @@ func TestClientDisconnectMidBurstDrainsPending(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("RunStreams deadlocked after disconnect")
 	}
-	if n := client.Outstanding(); n != 0 {
+	if n := outstanding(client); n != 0 {
 		t.Errorf("Outstanding = %d after disconnect drain", n)
 	}
 	if client.Err() == nil {
@@ -127,7 +127,7 @@ func TestClientRequestTimeoutOnHungFetch(t *testing.T) {
 	node, sdev := faultTestNode(t, []blockdev.FaultRule{
 		{Disk: 0, Mode: blockdev.FaultHang, MinLen: 1 << 20},
 	}, nil)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestClientRequestTimeoutOnHungFetch(t *testing.T) {
 	if sdev.Hung() != 1 {
 		t.Errorf("Hung = %d, want 1", sdev.Hung())
 	}
-	if n := client.Outstanding(); n != 0 {
+	if n := outstanding(client); n != 0 {
 		t.Errorf("Outstanding = %d after timeout", n)
 	}
 }
@@ -246,7 +246,7 @@ func TestServerIdleTimeoutClosesConnection(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +283,7 @@ func TestDialRetry(t *testing.T) {
 	}
 
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,12 +309,12 @@ func TestEndToEndThroughFaultInjector(t *testing.T) {
 		cfg.FetchRetries = 8
 		cfg.RetryBackoff = time.Millisecond
 	})
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -253,7 +253,7 @@ func TestFlushFailureCompletesEveryHandleOnce(t *testing.T) {
 	if disconnected == 0 {
 		t.Error("no request was failed with StatusDisconnected")
 	}
-	if n := c.Outstanding(); n != 0 {
+	if n := outstanding(c); n != 0 {
 		t.Errorf("Outstanding = %d after the drain", n)
 	}
 	if !errors.Is(c.Err(), errFlaky) {
@@ -306,7 +306,7 @@ func TestUncorkedFlushFailureReturnsError(t *testing.T) {
 	if ran.Load() {
 		t.Error("Go returned an error and the callback ran")
 	}
-	if n := c.Outstanding(); n != 0 {
+	if n := outstanding(c); n != 0 {
 		t.Errorf("Outstanding = %d", n)
 	}
 }
@@ -317,7 +317,7 @@ func TestUncorkedFlushFailureReturnsError(t *testing.T) {
 // as a counted error, while a connection that just closes is not one.
 func TestProtocolErrorsAreCounted(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +430,7 @@ func TestLoopbackRoundTripAllocs(t *testing.T) {
 		c.EvictIdle = time.Hour
 	}
 	node, srv := payloadNodeTuned(t, 1, 64<<20, 1<<20, ServerOptions{}, cfg)
-	c, err := Dial(srv.Addr())
+	c, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

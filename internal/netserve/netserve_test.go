@@ -104,13 +104,13 @@ func newTestNode(t *testing.T) *core.Server {
 
 func TestServerClientEndToEnd(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,8 +133,8 @@ func TestServerClientEndToEnd(t *testing.T) {
 	if st.Requests != 128 || st.Conns != 1 {
 		t.Errorf("server stats = %+v", st)
 	}
-	if client.Outstanding() != 0 {
-		t.Errorf("Outstanding = %d after drain", client.Outstanding())
+	if outstanding(client) != 0 {
+		t.Errorf("Outstanding = %d after drain", outstanding(client))
 	}
 	if client.Err() != nil {
 		t.Errorf("client error: %v", client.Err())
@@ -143,12 +143,12 @@ func TestServerClientEndToEnd(t *testing.T) {
 
 func TestServerReturnsData(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,12 +180,12 @@ func TestServerReturnsData(t *testing.T) {
 
 func TestServerBadRequest(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestServerBadRequest(t *testing.T) {
 
 func TestServerMultipleClients(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +220,7 @@ func TestServerMultipleClients(t *testing.T) {
 	done := make(chan error, 3)
 	for i := 0; i < 3; i++ {
 		go func() {
-			client, err := Dial(srv.Addr())
+			client, err := DialOpts(srv.Addr(), ClientOptions{})
 			if err != nil {
 				done <- err
 				return
@@ -241,11 +241,11 @@ func TestServerMultipleClients(t *testing.T) {
 
 func TestServerCloseUnblocksClient(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +257,7 @@ func TestServerCloseUnblocksClient(t *testing.T) {
 		t.Errorf("double Close: %v", err)
 	}
 	// New connections must fail.
-	if _, err := Dial(srv.Addr()); err == nil {
+	if _, err := DialOpts(srv.Addr(), ClientOptions{}); err == nil {
 		t.Error("Dial after Close succeeded")
 	}
 }
@@ -292,4 +292,11 @@ func TestMemDevice(t *testing.T) {
 	if err := dev.ReadAt(0, 1<<20, 1, nil); err == nil {
 		t.Error("out-of-range read accepted")
 	}
+}
+
+// outstanding returns the number of requests c still has pending.
+func outstanding(c *Client) int {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.pending)
 }

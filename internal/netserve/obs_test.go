@@ -15,7 +15,7 @@ import (
 // including the request-latency histogram fed by the storage node.
 func TestObsMirrorsServerStats(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestObsMirrorsServerStats(t *testing.T) {
 	srv.SetObs(no)
 	srv.SetObs(no) // attaching again must not count the server twice
 
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,12 +122,12 @@ func TestObsCountersSumAcrossServers(t *testing.T) {
 	reg := obs.NewRegistry()
 	var sum ServerStats
 	for i := 0; i < 2; i++ {
-		srv, err := NewServer(newTestNode(t), "127.0.0.1:0")
+		srv, err := NewServerOpts(newTestNode(t), "127.0.0.1:0", ServerOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		srv.SetObs(NewObs(reg))
-		client, err := Dial(srv.Addr())
+		client, err := DialOpts(srv.Addr(), ClientOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -154,14 +154,14 @@ func TestObsCountersSumAcrossServers(t *testing.T) {
 // client and returns to zero once every connection drains.
 func TestObsOpenConnectionsGauge(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := obs.NewRegistry()
 	srv.SetObs(NewObs(reg))
 
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

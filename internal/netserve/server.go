@@ -105,13 +105,8 @@ type ServerOptions struct {
 	Payload bool
 }
 
-// NewServer wraps a storage node and starts listening on addr
-// (host:port; port 0 picks a free port).
-func NewServer(node *core.Server, addr string) (*Server, error) {
-	return NewServerOpts(node, addr, ServerOptions{})
-}
-
-// NewServerOpts wraps a storage node with explicit failure-handling
+// NewServerOpts wraps a storage node and starts listening on addr
+// (host:port; port 0 picks a free port) with explicit failure-handling
 // options.
 func NewServerOpts(node *core.Server, addr string, opts ServerOptions) (*Server, error) {
 	if node == nil {

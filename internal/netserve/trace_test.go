@@ -61,7 +61,7 @@ func newTracedNode(t *testing.T, clock blockdev.Clock) *tracedNode {
 		t.Fatal(err)
 	}
 	t.Cleanup(node.Close)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func opCounts(events []flight.Event) (map[flight.Op]int, map[uint64]map[flight.O
 // plus for sampled hits.
 func TestUntracedWireRequestsAreSampled(t *testing.T) {
 	n := newTracedNode(t, blockdev.NewRealClock())
-	client, err := Dial(n.srv.Addr())
+	client, err := DialOpts(n.srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +175,7 @@ func TestClientTracedRequestsKeepFullLifecycle(t *testing.T) {
 func TestUnsampledWireStagedHitReadsClockOnce(t *testing.T) {
 	clock := &countingClock{Clock: blockdev.NewRealClock()}
 	n := newTracedNode(t, clock)
-	client, err := Dial(n.srv.Addr())
+	client, err := DialOpts(n.srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,12 +12,12 @@ import (
 
 func TestServerWritePathDisabledByDefault(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,14 +55,14 @@ func TestServerWriteStreamsEndToEnd(t *testing.T) {
 	}
 	defer ing.Close()
 
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	srv.EnableWrites(ing)
 
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestServerWriteStreamsEndToEnd(t *testing.T) {
 
 func TestServerSurvivesGarbageFrames(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 	conn.Close()
 
 	// A well-behaved client still works afterwards.
-	client, err := Dial(srv.Addr())
+	client, err := DialOpts(srv.Addr(), ClientOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestServerSurvivesGarbageFrames(t *testing.T) {
 
 func TestServerRejectsOversizedFrame(t *testing.T) {
 	node := newTestNode(t)
-	srv, err := NewServer(node, "127.0.0.1:0")
+	srv, err := NewServerOpts(node, "127.0.0.1:0", ServerOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,21 +13,16 @@ import (
 // the serving goroutine and return a JSON-marshalable value.
 type VarFunc func() any
 
-// Handler serves the debug surface of a node:
+// HandlerExtra serves the debug surface of a node:
 //
 //	/metrics        Prometheus text exposition of reg
 //	/debug/vars     JSON snapshot: registry values plus caller vars
 //	/debug/pprof/*  runtime profiles (net/http/pprof)
 //
-// vars maps names to snapshot functions (core stats, config, ...) and
-// may be nil.
-func Handler(reg *Registry, vars map[string]VarFunc) http.Handler {
-	return HandlerExtra(reg, vars, nil)
-}
-
-// HandlerExtra is Handler plus caller-mounted endpoints (path →
-// handler), e.g. the flight recorder's /debug/flight snapshot. Extra
-// paths appear on the index page alongside the built-ins.
+// plus caller-mounted endpoints (path → handler), e.g. the flight
+// recorder's /debug/flight snapshot. Extra paths appear on the index
+// page alongside the built-ins. vars maps names to snapshot functions
+// (core stats, config, ...); vars and extra may be nil.
 func HandlerExtra(reg *Registry, vars map[string]VarFunc, extra map[string]http.Handler) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {

@@ -17,7 +17,7 @@ func TestDebugServerEndpoints(t *testing.T) {
 	vars := map[string]VarFunc{
 		"stack": func() any { return map[string]int{"disks": 2} },
 	}
-	srv, err := Serve("127.0.0.1:0", Handler(reg, vars))
+	srv, err := Serve("127.0.0.1:0", HandlerExtra(reg, vars, nil))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"sort"
 	"sync"
 	"time"
 )
@@ -197,13 +196,6 @@ func (l *SpanLog) flushLocked() error {
 	return nil
 }
 
-// Len returns the number of retained events.
-func (l *SpanLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.events)
-}
-
 // Snapshot returns the retained events in record order.
 func (l *SpanLog) Snapshot() []SpanEvent {
 	l.mu.Lock()
@@ -214,57 +206,6 @@ func (l *SpanLog) Snapshot() []SpanEvent {
 		out = append(out, l.events[:l.next]...)
 	} else {
 		out = append(out, l.events...)
-	}
-	return out
-}
-
-// Timeline returns the retained events of one stream, in record order.
-func (l *SpanLog) Timeline(stream int) []SpanEvent {
-	var out []SpanEvent
-	for _, e := range l.Snapshot() {
-		if e.Stream == stream {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// Streams returns the distinct stream ids present in the log, sorted.
-func (l *SpanLog) Streams() []int {
-	seen := make(map[int]struct{})
-	for _, e := range l.Snapshot() {
-		seen[e.Stream] = struct{}{}
-	}
-	ids := make([]int, 0, len(seen))
-	for id := range seen {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
-	return ids
-}
-
-// StageDurations reduces one stream's timeline to the interval spent
-// between consecutive fetch/staged/deliver transitions: for each
-// StageStaged it reports the duration since the matching StageFetch,
-// and for each StageDeliver the duration since the stream's previous
-// event. It is a convenience for tests and offline analysis.
-func StageDurations(timeline []SpanEvent) map[Stage]time.Duration {
-	out := make(map[Stage]time.Duration)
-	fetchAt := make(map[int64]time.Duration) // by offset
-	var prev time.Duration
-	for _, e := range timeline {
-		switch e.Stage {
-		case StageFetch:
-			fetchAt[e.Offset] = e.At
-		case StageStaged:
-			if at, ok := fetchAt[e.Offset]; ok {
-				out[StageStaged] += e.At - at
-				delete(fetchAt, e.Offset)
-			}
-		case StageDeliver:
-			out[StageDeliver] += e.At - prev
-		}
-		prev = e.At
 	}
 	return out
 }

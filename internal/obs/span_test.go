@@ -10,6 +10,17 @@ type fakeClock struct{ now time.Duration }
 
 func (c *fakeClock) Now() time.Duration { return c.now }
 
+// timeline returns the retained events of one stream, in record order.
+func timeline(l *SpanLog, stream int) []SpanEvent {
+	var out []SpanEvent
+	for _, e := range l.Snapshot() {
+		if e.Stream == stream {
+			out = append(out, e)
+		}
+	}
+	return out
+}
+
 func TestSpanLogTimeline(t *testing.T) {
 	clk := &fakeClock{}
 	l, err := NewSpanLog(clk.Now, 16)
@@ -27,7 +38,7 @@ func TestSpanLogTimeline(t *testing.T) {
 	clk.now = 40
 	l.Record(1, 0, StageDeliver, 4096, 512)
 
-	tl := l.Timeline(1)
+	tl := timeline(l, 1)
 	if len(tl) != 4 {
 		t.Fatalf("stream 1 timeline has %d events, want 4", len(tl))
 	}
@@ -40,17 +51,8 @@ func TestSpanLogTimeline(t *testing.T) {
 	if tl[1].At != 20 || tl[3].At != 40 {
 		t.Errorf("timestamps not taken from the injected clock: %+v", tl)
 	}
-
-	if ids := l.Streams(); len(ids) != 2 || ids[0] != 1 || ids[1] != 2 {
-		t.Errorf("Streams() = %v, want [1 2]", ids)
-	}
-
-	durs := StageDurations(tl)
-	if durs[StageStaged] != 10 {
-		t.Errorf("fetch->staged duration = %v, want 10ns", durs[StageStaged])
-	}
-	if durs[StageDeliver] != 10 {
-		t.Errorf("staged->deliver duration = %v, want 10ns", durs[StageDeliver])
+	if tl2 := timeline(l, 2); len(tl2) != 1 || tl2[0].Disk != 1 || tl2[0].At != 25 {
+		t.Errorf("stream 2 timeline = %+v, want one classify on disk 1 at 25ns", tl2)
 	}
 }
 
@@ -64,10 +66,10 @@ func TestSpanLogRingWrap(t *testing.T) {
 		clk.now = time.Duration(i)
 		l.Record(i, 0, StageFetch, 0, 0)
 	}
-	if l.Len() != 4 {
-		t.Fatalf("len = %d, want capacity 4", l.Len())
-	}
 	snap := l.Snapshot()
+	if len(snap) != 4 {
+		t.Fatalf("len = %d, want capacity 4", len(snap))
+	}
 	for i, e := range snap {
 		if e.Stream != 6+i {
 			t.Fatalf("snapshot[%d].Stream = %d, want %d (oldest-first after wrap)", i, e.Stream, 6+i)

@@ -30,9 +30,6 @@ type Event struct {
 	index int // heap index, -1 once popped or cancelled
 }
 
-// At returns the virtual time the event is scheduled for.
-func (e *Event) At() Time { return e.at }
-
 // eventQueue implements heap.Interface ordered by (time, seq).
 type eventQueue []*Event
 

@@ -21,11 +21,6 @@ func (r *Rand) Uint64() uint64 {
 	return z ^ (z >> 31)
 }
 
-// Float64 returns a value in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
-
 // Intn returns a value in [0, n). It returns 0 when n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -48,15 +43,4 @@ func (r *Rand) Duration(d Time) Time {
 		return 0
 	}
 	return Time(r.Int63n(int64(d)))
-}
-
-// Perm returns a pseudo-random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
 }

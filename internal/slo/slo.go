@@ -93,9 +93,6 @@ type Config struct {
 	// DefaultFastBurn/DefaultSlowBurn).
 	FastBurn float64
 	SlowBurn float64
-	// WindowBuckets splits each window into ring slots (default
-	// obs.DefaultWindowBuckets).
-	WindowBuckets int
 	// MinSamples gates alerting on window population (default
 	// DefaultMinSamples).
 	MinSamples int64
@@ -313,27 +310,18 @@ func NewLedger(cfg Config, now func() time.Duration, disks int) (*Ledger, error)
 		// concurrent streams than the cap between two flushes.
 		dl := &diskLedger{dirty: make([]*StreamLedger, 0, 16)}
 		var err error
-		if dl.fast, err = obs.NewWindowedHistogram(now, cfg.FastWindow, cfg.WindowBuckets); err != nil {
+		if dl.fast, err = obs.NewWindowedHistogram(now, cfg.FastWindow, obs.DefaultWindowBuckets); err != nil {
 			return nil, err
 		}
-		if dl.mid, err = obs.NewWindowedHistogram(now, cfg.MidWindow, cfg.WindowBuckets); err != nil {
+		if dl.mid, err = obs.NewWindowedHistogram(now, cfg.MidWindow, obs.DefaultWindowBuckets); err != nil {
 			return nil, err
 		}
-		if dl.slow, err = obs.NewWindowedHistogram(now, cfg.SlowWindow, cfg.WindowBuckets); err != nil {
+		if dl.slow, err = obs.NewWindowedHistogram(now, cfg.SlowWindow, obs.DefaultWindowBuckets); err != nil {
 			return nil, err
 		}
 		l.disks[i] = dl
 	}
 	return l, nil
-}
-
-// Config returns the effective configuration (defaults applied). Zero
-// on a nil ledger.
-func (l *Ledger) Config() Config {
-	if l == nil {
-		return Config{}
-	}
-	return l.cfg
 }
 
 // raShift is the fixed-point precision of the deadline model's
@@ -586,16 +574,6 @@ func (l *Ledger) Retire(st *StreamLedger) {
 		l.retired++
 	}
 	l.mu.Unlock()
-}
-
-// Live returns the number of streams holding a ledger entry.
-func (l *Ledger) Live() int {
-	if l == nil {
-		return 0
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.streams)
 }
 
 // FastSnapshot merges the per-disk fast lateness windows into one

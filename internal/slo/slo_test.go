@@ -186,14 +186,14 @@ func TestAdmitRetire(t *testing.T) {
 	l, _ := testLedger(t, nil)
 	a := l.Admit(1, 0, 0)
 	b := l.Admit(2, 1, 0)
-	if l.Live() != 2 {
-		t.Fatalf("live = %d, want 2", l.Live())
+	if live := l.Report().LiveStreams; live != 2 {
+		t.Fatalf("live = %d, want 2", live)
 	}
 	l.Retire(a)
 	l.Retire(a) // idempotent
 	l.Retire(nil)
-	if l.Live() != 1 {
-		t.Fatalf("live = %d, want 1", l.Live())
+	if live := l.Report().LiveStreams; live != 1 {
+		t.Fatalf("live = %d, want 1", live)
 	}
 	rep := l.Report()
 	if rep.Admitted != 2 || rep.Retired != 1 || rep.LiveStreams != 1 {
@@ -342,7 +342,7 @@ func TestLedgerRetirementConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	if got := l.Live(); got != 0 {
+	if got := len(l.streams); got != 0 {
 		t.Fatalf("leaked %d ledger entries after retirement", got)
 	}
 	rep := l.Report()

@@ -44,18 +44,3 @@ func ParseSize(s string) (int64, error) {
 	}
 	return n * mult, nil
 }
-
-// FormatSize renders bytes with the largest exact binary unit
-// (1536 -> "1536", 2048 -> "2KiB", 3<<20 -> "3MiB").
-func FormatSize(n int64) string {
-	switch {
-	case n >= 1<<30 && n%(1<<30) == 0:
-		return strconv.FormatInt(n>>30, 10) + "GiB"
-	case n >= 1<<20 && n%(1<<20) == 0:
-		return strconv.FormatInt(n>>20, 10) + "MiB"
-	case n >= 1<<10 && n%(1<<10) == 0:
-		return strconv.FormatInt(n>>10, 10) + "KiB"
-	default:
-		return strconv.FormatInt(n, 10)
-	}
-}
